@@ -1,10 +1,11 @@
 """What one request costs, in kernel-class work counts.
 
-The planner prices work the way the compiled inference path executes it:
-:func:`repro.profiler.profile_model` pushes a probe through the model (the
-same ``inference_plan()`` flattening the compiler walks) and reports exact
-per-layer MACs; this module buckets those MACs by the *kernel class* that
-will execute them, because a GEMM MAC and an im2col-conv MAC sustain very
+The planner prices work the way the compiled inference path executes it.
+:func:`request_work` folds over the one static walk of the model,
+:func:`repro.profiler.flops.trace_leaves` — the same probe forward, leaf
+shapes and per-layer MACs behind :func:`repro.profiler.profile_model` and
+:func:`repro.ppml.analyse_model` — and buckets the work by the *kernel class*
+that will execute it, because a GEMM MAC and an im2col-conv MAC sustain very
 different rates on the same host:
 
 ``conv_macs``
@@ -16,15 +17,14 @@ different rates on the same host:
     layers lowered to ``Backend.gemm`` (``Linear`` and the quadratic linear
     variants).
 ``elementwise_ops``
-    everything else the profiler counted (BatchNorm-style per-element
-    work), priced at the element-wise glue rate.
+    every other parametric layer (BatchNorm-style per-element work), priced
+    at the element-wise glue rate.
 ``pool_window_elems``
     windowed-reduction work (max/avg pooling): output elements times the
     window each one reduces over.  Pooling has no parameters and almost no
     MACs, so the profiler skips it — but the windowed kernels run far
     below element-wise rates (strided window views defeat vectorization),
-    and on small backbones they are a *plurality* of inference time.  A
-    separate probe forward collects them here.
+    and on small backbones they are a *plurality* of inference time.
 
 Secure serving adds a second ledger: the per-request
 :class:`~repro.ppml.offline.OfflineBudget` (Beaver triples, garbled labels)
@@ -40,22 +40,18 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.layers.conv import Conv2d
+from ..nn.layers.linear import Linear
+from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from ..profiler.flops import QUADRATIC_CONVS, QUADRATIC_LINEARS, layer_profile, trace_leaves
+from ..quadratic.layers.qconv import QuadraticConv2dT1
+
 __all__ = ["RequestWork", "SecureWork", "request_work", "secure_work"]
 
-#: layer-type substrings → kernel class (checked in order; first hit wins).
-_KERNEL_CLASSES = (
-    ("Conv", "conv"),
-    ("Linear", "gemm"),
-    ("MLP", "gemm"),
-)
-
-
-def classify_layer(layer_type: str) -> str:
-    """Kernel class (``conv``/``gemm``/``elementwise``) of a profiled layer."""
-    for needle, kernel in _KERNEL_CLASSES:
-        if needle in layer_type:
-            return kernel
-    return "elementwise"
+#: leaf layer classes by the compiled kernel that executes them.
+_CONVS = (Conv2d, QuadraticConv2dT1) + QUADRATIC_CONVS
+_GEMMS = (Linear,) + QUADRATIC_LINEARS
+_POOLS = (AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d)
 
 
 @dataclass(frozen=True)
@@ -118,74 +114,48 @@ class SecureWork:
         }
 
 
-def _pool_window_elems(model, shape: Tuple[int, ...]) -> int:
-    """Windowed-reduction work of one batch-1 forward (output elems x window).
+def _window_elems(module, in_shape: Tuple[int, ...], out_shape: Tuple[int, ...]) -> int:
+    """Elements one pooling call reads: output elements x window.
 
-    The profiler only reports parametric layers, so pooling — which the
-    compiled path executes as real strided-window kernels — is collected
-    here with its own probe forward.  For fixed-window pools the window is
-    ``kernel_size²``; for global/adaptive pools it is the input-to-output
-    element ratio (every input element is read once).
+    For fixed-window pools the window is ``kernel_size²``; for
+    global/adaptive pools it is the input-to-output element ratio (every
+    input element is read once).
     """
-    from ..autodiff import no_grad
-    from ..autodiff.tensor import Tensor
-    from ..nn.layers.pooling import (AdaptiveAvgPool2d, AvgPool2d,
-                                     GlobalAvgPool2d, MaxPool2d)
-
-    counts = []
-    removers = []
-
-    def make_hook(module):
-        def hook(_module, inputs, output):
-            if not isinstance(output, Tensor):
-                return
-            out_elems = int(np.prod(output.shape))
-            kernel = getattr(module, "kernel_size", None)
-            if isinstance(kernel, (tuple, list)):
-                window = int(kernel[0]) * int(kernel[1])
-            elif isinstance(kernel, int):
-                window = kernel * kernel
-            else:                       # global/adaptive: reads all of the input
-                in_elems = int(np.prod(inputs[0].shape)) if inputs else out_elems
-                window = max(1, in_elems // max(1, out_elems))
-            counts.append(out_elems * window)
-        return hook
-
-    for _name, module in model.named_modules():
-        if isinstance(module, (AdaptiveAvgPool2d, AvgPool2d,
-                               GlobalAvgPool2d, MaxPool2d)):
-            removers.append(module.register_forward_hook(make_hook(module)))
-    if not removers:
-        return 0
-    try:
-        probe = Tensor(np.zeros((1,) + shape, dtype=np.float32))
-        was_training = model.training
-        model.train(False)
-        with no_grad():
-            model(probe)
-        model.train(was_training)
-    finally:
-        for remove in removers:
-            remove()
-    return int(sum(counts))
+    out_elems = int(np.prod(out_shape))
+    kernel = getattr(module, "kernel_size", None)
+    if isinstance(kernel, (tuple, list)):
+        window = int(kernel[0]) * int(kernel[1])
+    elif isinstance(kernel, int):
+        window = kernel * kernel
+    else:
+        in_elems = int(np.prod(in_shape)) if in_shape else out_elems
+        window = max(1, in_elems // max(1, out_elems))
+    return out_elems * window
 
 
 def request_work(model, input_shape: Sequence[int],
                  num_classes: Optional[int] = None) -> RequestWork:
-    """Profile ``model`` at batch 1 and bucket its work by kernel class.
+    """Walk ``model`` once at batch 1 and bucket its work by kernel class.
 
     ``input_shape`` is the per-sample shape (no batch dimension).  The
     output payload size is taken from ``num_classes`` when given, else from
-    the probe forward's final layer profile.
+    the last parametric layer's output.
     """
-    from ..profiler.flops import profile_model
-
     shape = tuple(int(dim) for dim in input_shape)
-    profile = profile_model(model, shape, batch_size=1)
     counters = {"conv": 0, "gemm": 0, "elementwise": 0}
+    pool_window_elems = 0
+    layers = 0
     last_shape: Tuple[int, ...] = (1,)
-    for layer in profile.layers:
-        counters[classify_layer(layer.layer_type)] += layer.macs
+    for name, module, calls in trace_leaves(model, shape, batch_size=1):
+        if isinstance(module, _POOLS):
+            pool_window_elems += sum(_window_elems(module, *call) for call in calls)
+        layer = layer_profile(name, module, calls)
+        if layer is None:
+            continue
+        kernel = ("conv" if isinstance(module, _CONVS)
+                  else "gemm" if isinstance(module, _GEMMS) else "elementwise")
+        counters[kernel] += layer.macs
+        layers += 1
         if layer.output_shape:
             last_shape = layer.output_shape
     if num_classes is not None:
@@ -199,8 +169,8 @@ def request_work(model, input_shape: Sequence[int],
         elementwise_ops=int(counters["elementwise"]),
         input_bytes=int(np.prod(shape)) * itemsize,
         output_bytes=output_elements * itemsize,
-        layers=len(profile.layers),
-        pool_window_elems=_pool_window_elems(model, shape),
+        layers=layers,
+        pool_window_elems=pool_window_elems,
     )
 
 

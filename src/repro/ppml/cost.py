@@ -1,8 +1,9 @@
 """Operation counting and PPML cost estimation for whole models.
 
-The analysis walks a model once with a probe input, records the output shape
-of every leaf layer, and classifies each layer into the three online
-primitives a hybrid PPML protocol distinguishes:
+The analysis folds over :func:`repro.profiler.flops.trace_leaves` — the one
+probe forward that records the shapes of every leaf layer, shared with the
+profiler and the capacity planner — and classifies each layer into the three
+online primitives a hybrid PPML protocol distinguishes:
 
 * ``macs`` — multiply-accumulates inside linear / convolution layers
   (pre-processed or HE-evaluated, cheap per-op),
@@ -26,18 +27,21 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autodiff import no_grad
-from ..autodiff.tensor import Tensor
 from ..nn.layers.activations import GELU, LeakyReLU, ReLU, Sigmoid, Square, Tanh
 from ..nn.layers.conv import Conv2d
 from ..nn.layers.linear import Linear
 from ..nn.layers.normalization import BatchNorm1d, BatchNorm2d, LayerNorm
 from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..nn.module import Module
+from ..profiler.flops import (
+    QUADRATIC_CONVS,
+    QUADRATIC_LINEARS,
+    conv_macs,
+    trace_leaves,
+    weight_sets,
+)
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..quadratic.layers.hybrid import HybridQuadraticConv2d, HybridQuadraticLinear
-from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
-from ..quadratic.layers.qlinear import QuadraticLinear
+from ..quadratic.layers.qconv import QuadraticConv2dT1
 from ..utils.logging import format_table
 from .protocols import Protocol, ProtocolCost, resolve_protocol
 
@@ -142,12 +146,6 @@ def _elements(shape: Tuple[int, ...]) -> int:
     return int(np.prod(shape)) if shape else 0
 
 
-def _conv_macs(out_shape: Tuple[int, ...], weight_shape: Tuple[int, ...]) -> int:
-    n, f, oh, ow = out_shape
-    _, c_g, kh, kw = weight_shape
-    return n * f * c_g * kh * kw * oh * ow
-
-
 def _quadratic_mult_ops(neuron_type: str, out_elements: int, in_elements: int) -> int:
     """Secure multiplications one quadratic layer needs, by neuron design.
 
@@ -173,29 +171,26 @@ def _classify(module: Module, out_shape: Tuple[int, ...],
     type_name = type(module).__name__
 
     if isinstance(module, Conv2d):
-        return LayerOperations("", type_name, macs=_conv_macs(out_shape, module.weight.shape),
-                               output_shape=out_shape)
+        macs = conv_macs(out_shape, int(np.prod(module.weight.shape[1:])))
+        return LayerOperations("", type_name, macs=macs, output_shape=out_shape)
     if isinstance(module, Linear):
         batch = _elements(out_shape[:-1])
         return LayerOperations("", type_name,
                                macs=module.in_features * module.out_features * batch,
                                output_shape=out_shape)
-    if isinstance(module, (QuadraticConv2d, HybridQuadraticConv2d)):
-        weight_names = [n for n in module._parameters if n.startswith("weight")]
-        weight = module._parameters[weight_names[0]]
-        macs = len(weight_names) * _conv_macs(out_shape, weight.shape)
+    if isinstance(module, QUADRATIC_CONVS):
+        weights = weight_sets(module)
+        macs = conv_macs(out_shape, int(np.prod(weights[0].shape[1:])),
+                         n_weight_sets=len(weights))
         mult_ops = _quadratic_mult_ops(module.neuron_type, elements, _elements(in_shape))
         return LayerOperations("", type_name, macs=macs, mult_ops=mult_ops,
                                output_shape=out_shape)
     if isinstance(module, QuadraticConv2dT1):
-        n, f, oh, ow = out_shape
-        patch = module.patch_size
-        return LayerOperations("", type_name, macs=n * f * patch * patch * oh * ow,
+        return LayerOperations("", type_name, macs=conv_macs(out_shape, module.patch_size ** 2),
                                mult_ops=elements, output_shape=out_shape)
-    if isinstance(module, (QuadraticLinear, HybridQuadraticLinear)):
-        weight_names = [n for n in module._parameters if n.startswith("weight")]
+    if isinstance(module, QUADRATIC_LINEARS):
         batch = _elements(out_shape[:-1])
-        macs = len(weight_names) * module.in_features * module.out_features * batch
+        macs = len(weight_sets(module)) * module.in_features * module.out_features * batch
         mult_ops = _quadratic_mult_ops(module.neuron_type, elements, _elements(in_shape))
         return LayerOperations("", type_name, macs=macs, mult_ops=mult_ops,
                                output_shape=out_shape)
@@ -238,42 +233,14 @@ def count_operations(model: Module, input_shape: Tuple[int, int, int],
         (MACs included) scales linearly with the batch, matching what the
         secure runtime measures on a batched execution.
     """
-    invocations: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
-    removers = []
-    leaf_modules: List[Tuple[str, Module]] = []
-    for name, module in model.named_modules():
-        if module._modules:
-            continue
-        leaf_modules.append((name, module))
-
-        def make_hook(module_id: int):
-            def hook(_module, inputs, output):
-                if isinstance(output, Tensor):
-                    # One entry per *invocation*: a module shared across call
-                    # sites (a residual block's ReLU fires twice per forward)
-                    # costs the protocol once per application, not once per
-                    # Python object.  The input shape sizes the squared-input
-                    # projections of T2-style quadratic designs.
-                    in_shape = (inputs[0].shape
-                                if inputs and isinstance(inputs[0], Tensor) else ())
-                    invocations.setdefault(module_id, []).append((in_shape, output.shape))
-            return hook
-
-        removers.append(module.register_forward_hook(make_hook(id(module))))
-
-    probe = Tensor(np.zeros((batch_size,) + tuple(input_shape), dtype=np.float32))
-    was_training = model.training
-    model.train(False)
-    with no_grad():
-        model(probe)
-    model.train(was_training)
-    for remove in removers:
-        remove()
-
     operations: List[LayerOperations] = []
-    for name, module in leaf_modules:
+    for name, module, calls in trace_leaves(model, input_shape, batch_size):
+        # One count per *invocation*: a module shared across call sites (a
+        # residual block's ReLU fires twice per forward) costs the protocol
+        # once per application, not once per Python object.  The input shape
+        # sizes the squared-input projections of T2-style quadratic designs.
         merged: Optional[LayerOperations] = None
-        for in_shape, out_shape in invocations.get(id(module), []):
+        for in_shape, out_shape in calls:
             counted = _classify(module, out_shape, in_shape)
             if counted is None:
                 break

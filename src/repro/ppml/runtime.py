@@ -81,7 +81,6 @@ from ..quadratic.layers.hybrid import (
 )
 from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
 from ..quadratic.layers.qlinear import QuadraticLinear
-from ..utils.deprecation import warn_deprecated
 from .fixedpoint import FixedPointFormat, decode, encode, truncate
 from .protocols import Protocol, resolve_protocol
 from .trace import LayerTrace, ProtocolTrace, SecureCostEstimate
@@ -419,11 +418,6 @@ class SecurePredictor:
         self.stats.record(trace, 1)
         return out[0]
 
-    def predict_one(self, sample: np.ndarray) -> np.ndarray:
-        """Deprecated alias of :meth:`predict` (the pre-unification name)."""
-        warn_deprecated("SecurePredictor.predict_one", "SecurePredictor.predict")
-        return self.predict(sample)
-
     def predict_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run a batch in one pass (trace counts then cover the whole batch)."""
         out, trace = self.compiled.run(batch)
@@ -463,6 +457,7 @@ def _conv_geometry(module) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
     return module.stride, module.padding, getattr(module, "groups", 1)
 
 
+# Counts executed array shapes, not profiler.flops.conv_macs: static == executed stays independent.
 def _conv_macs(n: int, groups: int, f_g: int, patch: int, positions: int) -> int:
     return n * groups * f_g * patch * positions
 

@@ -1,10 +1,18 @@
-"""Parameter and MAC counting by module traversal.
+"""The one static walk of a model: leaf shapes, parameter and MAC counts.
 
-Produces the ``#Param`` column of Table 3 and feeds the RI layer-performance
-indicator (Eq. 5) with the per-layer parameter and computation ratios it
-needs.  Counting is shape-aware: a probe input is pushed through the model
-with forward hooks attached, so output resolutions (and hence conv MACs) are
-exact rather than estimated.
+:func:`trace_leaves` pushes a single probe input through the model with
+forward hooks on every leaf module and records the input and output shape of
+each invocation.  Every static analyser folds over that list: the
+``#Param``/MACs columns of Table 3 and the RI layer-performance indicator
+(Eq. 5) through :func:`profile_model`, the PPML online cost through
+:func:`repro.ppml.count_operations`, and the capacity planner's kernel-class
+work through :func:`repro.capacity.request_work`.  Shapes are measured, not
+estimated, so conv MACs are exact at every resolution.
+
+This module also owns what those analysers share about layers: the
+quadratic layer families (:data:`QUADRATIC_CONVS`, :data:`QUADRATIC_LINEARS`),
+their weight sets (:func:`weight_sets`) and the conv MAC formula
+(:func:`conv_macs`).
 """
 
 from __future__ import annotations
@@ -19,9 +27,25 @@ from ..autodiff.tensor import Tensor
 from ..nn.layers.conv import Conv2d
 from ..nn.layers.linear import Linear
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import HybridQuadraticConv2d, HybridQuadraticLinear
+from ..nn.parameter import Parameter
+from ..quadratic.layers.hybrid import (
+    HybridQuadraticConv2d,
+    HybridQuadraticConv2dFan,
+    HybridQuadraticConv2dT4,
+    HybridQuadraticLinear,
+)
 from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
 from ..quadratic.layers.qlinear import QuadraticLinear
+
+Shape = Tuple[int, ...]
+#: ``(in_shape, out_shape)`` of every forward invocation of one leaf.
+Calls = List[Tuple[Shape, Shape]]
+
+#: Composable quadratic convolutions: one projection per weight set plus an
+#: element-wise combine (``hybrid_bp=True`` builds the ``Hybrid*`` variants).
+QUADRATIC_CONVS = (QuadraticConv2d, HybridQuadraticConv2d,
+                   HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
+QUADRATIC_LINEARS = (QuadraticLinear, HybridQuadraticLinear)
 
 
 @dataclass
@@ -56,84 +80,95 @@ class ModelProfile:
         raise KeyError(f"no layer named '{name}' in profile")
 
 
-def _conv_macs(out_shape: Tuple[int, ...], weight_shape: Tuple[int, ...], groups: int,
-               n_weight_sets: int = 1, elementwise: int = 0) -> int:
-    # out_shape: (N, F, OH, OW); weight_shape: (F, C/g, kh, kw)
-    _, f, oh, ow = out_shape
-    _, c_g, kh, kw = weight_shape
-    per_position = c_g * kh * kw
-    return (n_weight_sets * f * per_position + elementwise * f) * oh * ow
+def trace_leaves(model: Module, input_shape: Tuple[int, ...],
+                 batch_size: int = 1) -> List[Tuple[str, Module, Calls]]:
+    """Every leaf of ``model`` with the shapes of each of its invocations.
 
-
-def _count_layer(module: Module, out_shape: Tuple[int, ...]) -> Optional[Tuple[str, int, int]]:
-    """(type name, parameters, MACs) for a leaf layer, or None for containers."""
-    params = sum(p.size for p in module._parameters.values() if p is not None)
-
-    if isinstance(module, Conv2d):
-        macs = _conv_macs(out_shape, module.weight.shape, module.groups)
-        return "Conv2d", params, macs
-    if isinstance(module, (QuadraticConv2d, HybridQuadraticConv2d)):
-        n_sets = len([n for n in module._parameters if n.startswith("weight")])
-        weight = next(p for n, p in module._parameters.items() if n.startswith("weight"))
-        macs = _conv_macs(out_shape, weight.shape, getattr(module, "groups", 1),
-                          n_weight_sets=n_sets, elementwise=2)
-        return type(module).__name__, params, macs
-    if isinstance(module, QuadraticConv2dT1):
-        _, f, oh, ow = out_shape
-        patch = module.patch_size
-        macs = f * patch * patch * oh * ow
-        return "QuadraticConv2dT1", params, macs
-    if isinstance(module, Linear):
-        macs = module.in_features * module.out_features * int(np.prod(out_shape[:-1]))
-        return "Linear", params, macs
-    if isinstance(module, (QuadraticLinear, HybridQuadraticLinear)):
-        n_sets = len([n for n in module._parameters if n.startswith("weight")])
-        macs = n_sets * module.in_features * module.out_features * int(np.prod(out_shape[:-1]))
-        return type(module).__name__, params, macs
-    if params:
-        # BatchNorm and other small parametric layers: count params, negligible MACs.
-        return type(module).__name__, params, int(np.prod(out_shape))
-    return None
-
-
-def profile_model(model: Module, input_shape: Tuple[int, int, int],
-                  batch_size: int = 1) -> ModelProfile:
-    """Profile parameters and MACs of every leaf layer with a probe forward pass."""
-    profile = ModelProfile()
-    output_shapes: Dict[int, Tuple[int, ...]] = {}
+    One eval-mode, ``no_grad`` probe forward of zeros shaped
+    ``(batch_size, *input_shape)``.  Leaves come back in ``named_modules``
+    order; a module shared across call sites (the one ReLU a residual block
+    applies twice) lists one entry per invocation, and a leaf the forward
+    never reaches lists none.
+    """
+    calls: Dict[int, Calls] = {}
+    leaves: List[Tuple[str, Module, Calls]] = []
     removers = []
 
-    def make_hook(module_id: int):
-        def hook(_module, _inputs, output):
-            if isinstance(output, Tensor):
-                output_shapes[module_id] = output.shape
-        return hook
+    def hook(module, inputs, output):
+        if isinstance(output, Tensor):
+            in_shape = inputs[0].shape if inputs and isinstance(inputs[0], Tensor) else ()
+            calls[id(module)].append((in_shape, output.shape))
 
-    leaf_modules = []
     for name, module in model.named_modules():
-        if not module._modules and (module._parameters or True):
-            leaf_modules.append((name, module))
-            removers.append(module.register_forward_hook(make_hook(id(module))))
+        if module._modules:
+            continue
+        if id(module) not in calls:
+            calls[id(module)] = []
+            removers.append(module.register_forward_hook(hook))
+        leaves.append((name, module, calls[id(module)]))
 
     probe = Tensor(np.zeros((batch_size,) + tuple(input_shape), dtype=np.float32))
     was_training = model.training
     model.train(False)
-    with no_grad():
-        model(probe)
-    model.train(was_training)
-    for remove in removers:
-        remove()
+    try:
+        with no_grad():
+            model(probe)
+    finally:
+        model.train(was_training)
+        for remove in removers:
+            remove()
+    return leaves
 
-    for name, module in leaf_modules:
-        out_shape = output_shapes.get(id(module), (batch_size,))
-        counted = _count_layer(module, out_shape)
-        if counted is None:
-            continue
-        layer_type, params, macs = counted
-        if params == 0 and macs <= int(np.prod(out_shape)):
-            continue
-        profile.layers.append(LayerProfile(name, layer_type, params, macs, out_shape))
-    return profile
+
+def weight_sets(module: Module) -> List[Parameter]:
+    """The weight tensors of a layer (one per projection of a quadratic neuron)."""
+    return [p for n, p in module._parameters.items() if n.startswith("weight")]
+
+
+def conv_macs(out_shape: Shape, patch: int, n_weight_sets: int = 1,
+              elementwise: int = 0) -> int:
+    """MACs of a convolution producing ``out_shape`` ``(N, F, OH, OW)``.
+
+    ``patch`` is the receptive-field size one output reads (``C/g·kh·kw``);
+    ``elementwise`` adds per-output combine work on top of the projections.
+    """
+    n, f, oh, ow = out_shape
+    return n * (n_weight_sets * f * patch + elementwise * f) * oh * ow
+
+
+def _leaf_macs(module: Module, out_shape: Shape) -> int:
+    if isinstance(module, Conv2d):
+        return conv_macs(out_shape, int(np.prod(module.weight.shape[1:])))
+    if isinstance(module, QUADRATIC_CONVS):
+        weights = weight_sets(module)
+        return conv_macs(out_shape, int(np.prod(weights[0].shape[1:])),
+                         n_weight_sets=len(weights), elementwise=2)
+    if isinstance(module, QuadraticConv2dT1):
+        return conv_macs(out_shape, module.patch_size ** 2)
+    batch = int(np.prod(out_shape[:-1]))
+    if isinstance(module, Linear):
+        return module.in_features * module.out_features * batch
+    if isinstance(module, QUADRATIC_LINEARS):
+        return len(weight_sets(module)) * module.in_features * module.out_features * batch
+    # BatchNorm and other small parametric layers: about one MAC per element.
+    return int(np.prod(out_shape))
+
+
+def layer_profile(name: str, module: Module, calls: Calls) -> Optional[LayerProfile]:
+    """Profile row of one traced leaf, or ``None`` for parameter-free layers."""
+    params = sum(p.size for p in module._parameters.values() if p is not None)
+    if not params:
+        return None
+    macs = sum(_leaf_macs(module, out_shape) for _, out_shape in calls)
+    out_shape = calls[-1][1] if calls else ()
+    return LayerProfile(name, type(module).__name__, params, macs, out_shape)
+
+
+def profile_model(model: Module, input_shape: Tuple[int, int, int],
+                  batch_size: int = 1) -> ModelProfile:
+    """Profile parameters and MACs of every parametric leaf layer."""
+    rows = (layer_profile(*leaf) for leaf in trace_leaves(model, input_shape, batch_size))
+    return ModelProfile([row for row in rows if row is not None])
 
 
 def count_parameters(model: Module) -> int:

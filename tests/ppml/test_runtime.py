@@ -70,6 +70,32 @@ def test_executed_trace_matches_static_counts_first_order(name):
     assert trace.total_relu_ops > 0 and trace.total_mult_ops == 0
 
 
+@pytest.mark.parametrize("hybrid_bp", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_executed_trace_matches_static_counts_on_generated_architectures(seed, hybrid_bp):
+    """The same property over ``repro.explore`` genomes, not just the zoo —
+    and the capacity planner's work counts come from one probe forward."""
+    from repro.capacity import request_work
+    from repro.explore import SearchSpace
+
+    seed_everything(0)
+    genome = SearchSpace().sample(np.random.default_rng(seed))
+    model = genome.build(num_classes=4, width_multiplier=0.125, hybrid_bp=hybrid_bp)
+    model.eval()
+    input_shape = (3, 16, 16)
+    _, trace = secure_compile(model).run(np.zeros((1,) + input_shape, dtype=np.float32))
+    diff = trace.count_diff(static_operations(model, input_shape))
+    assert diff == {}, f"measured vs static counts disagree on {genome.key()}: {diff}"
+
+    forwards = []
+    remove = model.register_forward_hook(lambda *_: forwards.append(1))
+    try:
+        request_work(model, input_shape)
+    finally:
+        remove()
+    assert len(forwards) == 1
+
+
 def test_quadratic_no_relu_conversion_executes_garbled_free():
     """The paper's claim, executed: the converted model runs with zero
     garbled-circuit operations (and still matches its static analysis)."""
@@ -92,20 +118,29 @@ def test_trace_counts_scale_with_batch_size():
     assert trace3.total_macs == 3 * trace1.total_macs
 
 
-@pytest.mark.parametrize("neuron_type", ["T2", "T3", "T4", "T4_ID", "T2_4", "OURS"])
-def test_executed_trace_matches_static_counts_for_every_composable_design(neuron_type):
+_COMPOSABLE_DESIGNS = ["T2", "T3", "T4", "T4_ID", "T2_4", "OURS"]
+
+
+@pytest.mark.parametrize(
+    "neuron_type,hybrid_bp",
+    [pytest.param(design, False, id=design) for design in _COMPOSABLE_DESIGNS]
+    + [pytest.param(design, True, id=f"{design}-hybrid_bp") for design in _COMPOSABLE_DESIGNS])
+def test_executed_trace_matches_static_counts_for_every_composable_design(neuron_type,
+                                                                          hybrid_bp):
     """Including the squared-input designs (T2, T2_4), whose X² projection
-    costs one Beaver triple per input element in both static and measured."""
+    costs one Beaver triple per input element in both static and measured,
+    and the symbolic-backward (``hybrid_bp``) layers of OURS, T4 and T2_4."""
     from repro.quadratic import quadratic_layer
     from repro.quadratic.functional import REQUIRED_RESPONSES
 
     seed_everything(0)
     flat = 3 * 8 * 8
     model = nn.Sequential(
-        quadratic_layer(neuron_type, 3, 3, kernel_size=3, padding=1),
+        quadratic_layer(neuron_type, 3, 3, kernel_size=3, padding=1, hybrid_bp=hybrid_bp),
         nn.Flatten(),
         # T4_ID adds the raw input, so its dense layer must preserve width.
-        quadratic_layer(neuron_type, flat, flat if neuron_type == "T4_ID" else 4),
+        quadratic_layer(neuron_type, flat, flat if neuron_type == "T4_ID" else 4,
+                        hybrid_bp=hybrid_bp),
     )
     model.eval()
     _, trace = secure_compile(model).run(np.zeros((1, 3, 8, 8), dtype=np.float32))

@@ -157,6 +157,11 @@ class TestFlopsProfiler:
         p_quad = profile_model(quad, (3, 16, 16))
         assert p_quad.total_parameters == 3 * p_first.total_parameters
         assert p_quad.total_macs > 2.9 * p_first.total_macs
+        # Every layer's MACs scale with the probe batch, convolutions included.
+        net = SmallConvNet(num_classes=10, config=QuadraticModelConfig(
+            neuron_type="OURS", width_multiplier=0.25))
+        batch4 = profile_model(net, (3, 32, 32), batch_size=4).total_macs
+        assert batch4 == 4 * profile_model(net, (3, 32, 32)).total_macs
 
     def test_by_name_lookup(self):
         model = SmallConvNet(num_classes=10)
