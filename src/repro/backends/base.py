@@ -35,7 +35,7 @@ import numpy as np
 
 from ..autodiff.function import Context
 from ..autodiff.ops import conv as conv_ops
-from ..autodiff.ops.conv import im2col as _im2col
+from ..autodiff.ops.conv import conv_output_size, im2col as _im2col
 from ..quadratic.functional import FUSED_COMBINERS
 
 
@@ -136,14 +136,44 @@ class Backend:
         return FUSED_COMBINERS[neuron_type](*responses, out=out, ops=self)
 
     # --------------------------------------------------------------- pooling
-    def maxpool(self, x: np.ndarray, kernel_size, stride, padding) -> np.ndarray:
-        """General max pooling (the autodiff op's forward; bit-identical).
+    def maxpool(self, x: np.ndarray, kernel_size, stride, padding,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Max pooling as a running ``maximum`` over the kh x kw strided views.
 
-        Under ``inference_mode`` the op's ``save_for_backward`` is a no-op,
-        so this is pure forward arithmetic.
+        Bit-identical to the eager op (``im2col`` + ``argmax`` +
+        ``take_along_axis``) at memory speed and without materialising
+        columns: the input is zero-padded exactly as ``im2col`` pads, the
+        first window offset is copied into ``out``, and every later offset
+        (row-major, the order of eager's window axis) is folded in with
+        ``maximum(window, out, out=out)``.  ``np.maximum`` returns its second
+        operand on ties and when both operands are NaN, so the earliest
+        maximum wins — ``-0.0`` against ``+0.0`` keeps whichever came first,
+        and the first NaN of a window is the result, as with ``argmax``.
+        A padded border takes part as ``+0.0`` just as in eager.
+
+        ``out``, when given, must have shape ``(N, C, OH, OW)`` and receives
+        the result (the compiler passes an activation-arena buffer).
         """
-        return conv_ops.MaxPool2d.forward(Context(), x, kernel_size=kernel_size,
-                                          stride=stride, padding=padding)
+        kh, kw = conv_ops._pair(kernel_size)
+        sh, sw = conv_ops._pair(stride if stride is not None else kernel_size)
+        ph, pw = conv_ops._pair(padding)
+        n, c, h, w = x.shape
+        oh = conv_output_size(h, kh, sh, ph)
+        ow = conv_output_size(w, kw, sw, pw)
+        if out is None:
+            out = np.empty((n, c, oh, ow), dtype=x.dtype)
+        elif out.shape != (n, c, oh, ow):
+            raise ValueError(f"out has shape {out.shape}, pooling produces "
+                             f"{(n, c, oh, ow)}")
+        if ph or pw:
+            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+        self.copyto(out, x[:, :, 0:sh * oh:sh, 0:sw * ow:sw])
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    window = x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+                    self.maximum(window, out, out=out)
+        return out
 
     def avgpool(self, x: np.ndarray, kernel_size, stride=None,
                 padding=0) -> np.ndarray:

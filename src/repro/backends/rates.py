@@ -23,12 +23,13 @@ compiled model is built from, plus two serving-overhead probes:
     broadcast scale+shift over one layer-sized activation map, so the
     rate carries the per-call and striding overheads the real glue pays.
 ``pool_window_elems_per_s``
-    windowed reductions (``Backend.maxpool``): output elements x window
-    per second over the same shrinking pyramid of shapes.  Pooling moves
-    almost no FLOPs but its strided window views defeat vectorization —
-    on small backbones it rivals the convolutions for wall clock, which
-    is exactly why it gets its own probe instead of the element-wise rate
-    (two orders of magnitude too optimistic).
+    windowed reductions (``Backend.maxpool``, the kernel the compiled
+    pooling step runs): output elements x window per second over the same
+    shrinking pyramid of shapes, each stage written into a preallocated
+    output.  Pooling is one ``maximum`` per window offset over strided
+    views, so it runs at memory speed but still pays a dispatch per offset
+    — it gets its own probe because the element-wise rate, measured over
+    contiguous broadcast operands, would not carry that per-offset cost.
 ``dispatch_us``
     per-call fixed overhead of one tiny kernel dispatch — the floor a
     compiled step pays regardless of its arithmetic.
@@ -65,7 +66,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 #: schema version of the on-disk cache; bump when probe definitions change.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: in-process cache: (backend name, host key) -> KernelRates.
 _MEMORY_CACHE: Dict[Tuple[str, str], "KernelRates"] = {}
@@ -221,19 +222,23 @@ def _probe_elementwise(backend, budget_s: float) -> float:
 
 
 def _probe_pool(backend, budget_s: float) -> float:
-    """Windowed-reduction rate over the same pyramid the conv probe walks."""
+    """Windowed-reduction rate over the same pyramid the conv probe walks.
+
+    Each stage writes into one preallocated output, exactly as the compiled
+    pooling step writes into its activation-arena buffer.
+    """
     rng = np.random.default_rng(3)
     n, k = 1, 2
     stages = []
     window_elems = 0
     for c, h in ((16, 16), (32, 8), (64, 4)):
         x = rng.standard_normal((n, c, h, h)).astype(np.float32)
-        stages.append(x)
+        stages.append((x, np.empty((n, c, h // k, h // k), dtype=np.float32)))
         window_elems += n * c * (h // k) * (h // k) * k * k
 
     def step() -> None:
-        for x in stages:
-            backend.maxpool(x, (k, k), (k, k), (0, 0))
+        for x, out in stages:
+            backend.maxpool(x, (k, k), (k, k), (0, 0), out=out)
 
     step()
     seconds = _median_seconds(step, budget_s)

@@ -17,7 +17,12 @@ mechanisms cover the tree:
   allocation.  Quadratic layers get the fused treatment: the ``im2col``
   lowering is computed **once** and shared by all weight projections
   (eager pays it once per projection), and the combination step runs through
-  the fused ``out=`` kernels of :mod:`repro.quadratic.functional`.
+  the fused ``out=`` kernels of :mod:`repro.quadratic.functional`.  Max
+  pooling is the one rule that changes primitives: every geometry runs
+  :meth:`Backend.maxpool <repro.backends.Backend.maxpool>`, a running
+  ``maximum`` over the strided window views written into an activation
+  buffer, which returns exactly the element eager's ``argmax`` selects
+  (first maximum on ties, first NaN) without gathering columns.
 * **inference plans** — composite modules whose forward is a pure pipeline
   (``VGG``, ``MobileNetV1``, …) expose ``inference_plan()`` returning their
   stages in execution order; the compiler flattens each stage recursively.
@@ -53,7 +58,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from ..autodiff.function import Context
 from ..autodiff.grad_mode import inference_mode
 from ..autodiff.ops import conv as conv_ops
 from ..autodiff.ops.conv import conv_output_size
@@ -587,23 +591,24 @@ def _compile_upsample(module: UpsampleNearest2d, compiler: _Compiler) -> List[St
 
 @register_compile_rule(MaxPool2d)
 def _compile_maxpool(module: MaxPool2d, compiler: _Compiler) -> List[Step]:
+    """Every pooling geometry through ``be.maxpool`` into an activation buffer.
+
+    The kernel is bit-identical to the eager op (ties and NaN included), so
+    padded, overlapping, rectangular and tiled windows share one route.
+    """
     be = compiler.backend
-    kernel_size, stride, padding = module.kernel_size, module.stride, module.padding
-    kh, kw = conv_ops._pair(kernel_size)
-    sh, sw = conv_ops._pair(stride if stride is not None else kernel_size)
-    ph, pw = conv_ops._pair(padding)
-    tiled = (sh, sw) == (kh, kw) and (ph, pw) == (0, 0)
+    pool = compiler.pool
+    out_key = compiler.planner.activation(compiler.next_key())
+    kh, kw = conv_ops._pair(module.kernel_size)
+    sh, sw = conv_ops._pair(module.stride if module.stride is not None
+                            else module.kernel_size)
+    ph, pw = conv_ops._pair(module.padding)
 
     def maxpool_step(x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
-        if tiled and h % kh == 0 and w % kw == 0:
-            # Non-overlapping windows partition the input exactly, and max
-            # selection is order-independent, so the reshape route returns
-            # the same values as the im2col route without gathering columns.
-            return x.reshape(n, c, h // kh, kh, w // kw, kw).max(axis=(3, 5))
-        # General case: the backend's pooling primitive (the reference is the
-        # autodiff op's forward, bit-identical to eager evaluation).
-        return be.maxpool(x, kernel_size, stride, padding)
+        out = pool.get(out_key, (n, c, conv_output_size(h, kh, sh, ph),
+                                 conv_output_size(w, kw, sw, pw)))
+        return be.maxpool(x, (kh, kw), (sh, sw), (ph, pw), out=out)
 
     return [maxpool_step]
 

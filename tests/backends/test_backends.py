@@ -163,6 +163,54 @@ def test_threaded_matches_even_at_one_thread_and_odd_batches():
 
 
 # --------------------------------------------------------------------------- #
+# Max pooling: the strided-maximum kernel against the eager autodiff op
+# --------------------------------------------------------------------------- #
+
+def _pool_case(seed: int):
+    """A seeded geometry and an input full of ties, NaNs and negative borders."""
+    rng = np.random.default_rng(seed)
+    kh, kw = (int(k) for k in rng.integers(1, 4, size=2))
+    stride = tuple(int(s) for s in rng.integers(1, 4, size=2))
+    padding = (int(rng.integers(0, kh // 2 + 1)), int(rng.integers(0, kw // 2 + 1)))
+    # Extents past the window by 0-6 rows: most are not divisible by the stride.
+    h, w = (int(k + rng.integers(0, 7)) for k in (kh, kw))
+    values = np.array([0.0, -0.0, 1.0, -1.0, -2.0], dtype=np.float32)
+    x = rng.choice(values, size=(3, 2, h, w))
+    x[1] = -rng.uniform(0.5, 2.0, size=(2, h, w))   # all-negative sample
+    x[2].flat[rng.integers(0, x[2].size, size=3)] = np.nan
+    return x, (kh, kw), stride, padding
+
+
+@pytest.mark.parametrize("backend", [NumpyBackend(), ThreadedBackend(num_threads=2)],
+                         ids=["numpy", "threaded"])
+@pytest.mark.parametrize("seed", range(24))
+def test_maxpool_is_bit_identical_to_the_eager_op(backend, seed):
+    from repro.autodiff.function import Context
+    from repro.autodiff.ops.conv import MaxPool2d
+
+    x, kernel, stride, padding = _pool_case(seed)
+    expected = MaxPool2d.forward(Context(), x, kernel_size=kernel, stride=stride,
+                                 padding=padding)
+    if any(padding):
+        # Zero padding takes part in the maximum: the negative sample's
+        # border windows read +0.0, exactly as eager's padded im2col does.
+        assert (expected[1] == 0.0).any()
+    fresh = backend.maxpool(x, kernel, stride, padding)
+    out = np.full(expected.shape, 7.0, dtype=np.float32)
+    into = backend.maxpool(x, kernel, stride, padding, out=out)
+    assert into is out
+    for actual in (fresh, into):
+        assert actual.shape == expected.shape
+        np.testing.assert_array_equal(actual.view(np.uint32), expected.view(np.uint32))
+
+
+def test_maxpool_rejects_a_misshapen_out():
+    x = np.zeros((1, 2, 4, 4), dtype=np.float32)
+    with pytest.raises(ValueError, match="out has shape"):
+        NumpyBackend().maxpool(x, 2, 2, 0, out=np.empty((1, 2, 4, 4), np.float32))
+
+
+# --------------------------------------------------------------------------- #
 # int8: approximate, but quantified
 # --------------------------------------------------------------------------- #
 

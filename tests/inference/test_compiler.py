@@ -8,7 +8,7 @@ import pytest
 from repro import nn
 from repro.autodiff import inference_mode, is_grad_enabled, no_grad
 from repro.autodiff.tensor import Tensor
-from repro.experiment import ModelSpec
+from repro.experiment import Experiment, ModelSpec, get_preset
 from repro.inference import BufferPool, CompiledModel, compile_model
 from repro.quadratic.functional import FUSED_COMBINERS, REQUIRED_RESPONSES
 from repro.quadratic.layers.qlinear import QuadraticLinear
@@ -89,10 +89,27 @@ class TestLayerRules:
 
     def test_overlapping_and_tiled_maxpool_agree_with_eager(self):
         for kwargs in ({"kernel_size": 2}, {"kernel_size": 3, "stride": 2},
-                       {"kernel_size": 2, "padding": 0, "stride": 2}):
+                       {"kernel_size": 2, "padding": 0, "stride": 2},
+                       {"kernel_size": 3, "stride": 2, "padding": 1},
+                       {"kernel_size": (2, 3), "stride": (1, 2), "padding": (0, 1)}):
             model = nn.Sequential(nn.MaxPool2d(**kwargs))
             x = RNG.standard_normal((2, 3, 12, 12)).astype(np.float32)
             assert_compiled_matches(model, x)
+
+    @pytest.mark.parametrize("kwargs", [{"kernel_size": 2},
+                                        {"kernel_size": 3, "stride": 2, "padding": 1}])
+    def test_maxpool_keeps_the_first_maximum_on_signed_zero_ties_and_nan(self, kwargs):
+        # array_equal treats -0.0 == +0.0, so compare the bytes: on a tie the
+        # compiled kernel must return the same (earliest) element as eager's
+        # argmax, and a window holding a NaN must return that NaN.
+        rng = np.random.default_rng(11)
+        x = rng.choice(np.array([0.0, -0.0, -1.0], dtype=np.float32), size=(4, 3, 12, 12))
+        x[1, 2, 5, 6] = np.nan
+        model = nn.Sequential(nn.MaxPool2d(**kwargs))
+        actual = compile_model(model)(x)
+        expected = eager(model, x)
+        assert np.isnan(expected).any() and np.signbit(expected).any()
+        assert actual.tobytes() == expected.tobytes()
 
     def test_activation_zoo_matches(self):
         model = nn.Sequential(nn.LeakyReLU(0.1), nn.Sigmoid(), nn.Tanh(),
@@ -262,6 +279,27 @@ class TestModelCompilation:
             x = RNG.standard_normal((batch_size, 3, 32, 32)).astype(np.float32)
             compiled(x)
         assert compiled.pool.allocations == allocations  # no live-request allocs
+
+    def test_smoke_preset_forwards_allocate_nothing_after_warmup(self):
+        seed_everything(0)
+        experiment = Experiment(get_preset("smoke"))
+        experiment.build()
+        compiled = experiment.compile_inference(recompile=True)
+        compiled.warmup((3, 32, 32), (1, 32))
+        allocations = compiled.pool.allocations
+        for batch_size in (1, 32, 1):
+            compiled(RNG.standard_normal((batch_size, 3, 32, 32)).astype(np.float32))
+        assert compiled.pool.allocations == allocations
+
+    def test_model_ending_in_maxpool_returns_a_fresh_array(self):
+        compiled = compile_model(nn.Sequential(nn.ReLU(), nn.MaxPool2d(2)))
+        x = RNG.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        first = compiled(x)
+        snapshot = first.copy()
+        assert not any(np.shares_memory(first, buffer)
+                       for buffer in compiled.pool._buffers.values())
+        compiled(RNG.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        np.testing.assert_array_equal(first, snapshot)
 
     def test_varying_batch_sizes_share_one_compiled_model(self):
         seed_everything(0)
