@@ -18,8 +18,8 @@ from repro.analysis import activation_attention, attention_statistics, capture_a
 from repro.builder import QuadraticModelConfig
 from repro.data import TensorDataset
 from repro.data.synthetic import SyntheticDetectionDataset
+from repro.engine import run_classification
 from repro.models import SmallConvNet
-from repro.training import train_classifier
 from repro.utils import print_table
 
 IMAGE = 32
@@ -53,10 +53,10 @@ def test_fig10_activation_attention(benchmark):
     quadratic = SmallConvNet(num_classes=NUM_CLASSES, image_size=IMAGE,
                              config=QuadraticModelConfig(neuron_type="OURS",
                                                          width_multiplier=WIDTH))
-    train_classifier(first_order, dataset, epochs=2, batch_size=16, lr=0.05,
-                     max_batches_per_epoch=5, seed=19)
-    train_classifier(quadratic, dataset, epochs=2, batch_size=16, lr=0.05,
-                     max_batches_per_epoch=5, seed=19)
+    run_classification(first_order, dataset, epochs=2, batch_size=16, lr=0.05,
+                       max_batches_per_epoch=5, seed=19)
+    run_classification(quadratic, dataset, epochs=2, batch_size=16, lr=0.05,
+                       max_batches_per_epoch=5, seed=19)
 
     probe_images = images[:8]
     probe_masks = masks[:8]

@@ -17,8 +17,8 @@ import pytest
 from common import BATCH_SIZE, MAX_BATCHES, NUM_CLASSES, WIDTH, classification_data, fresh_seed, save_experiment
 from repro.analysis import ascii_line_chart
 from repro.builder import QuadraticModelConfig
+from repro.engine import run_classification
 from repro.models import vgg_from_cfg
-from repro.training import train_classifier
 from repro.utils import print_table
 
 DEEP_CFG = [16, 16, "M", 32, 32, 32, "M", 32, 32, 32, "M"]   # 8-conv plain stand-in
@@ -34,9 +34,9 @@ def _train_with_probe(neuron_type: str, seed_offset: int):
     model = vgg_from_cfg(DEEP_CFG, num_classes=NUM_CLASSES,
                          config=QuadraticModelConfig(neuron_type=neuron_type,
                                                      width_multiplier=WIDTH))
-    history = train_classifier(model, train_set, epochs=EPOCHS, batch_size=BATCH_SIZE,
-                               lr=0.05, max_batches_per_epoch=MAX_BATCHES,
-                               grad_probe_layers=PROBE_LAYERS, seed=7)
+    history = run_classification(model, train_set, epochs=EPOCHS, batch_size=BATCH_SIZE,
+                                 lr=0.05, max_batches_per_epoch=MAX_BATCHES,
+                                 grad_probe_layers=PROBE_LAYERS, seed=7)
     series = {}
     for prefix in PROBE_LAYERS:
         matching = [values for name, values in history.gradient_norms.items()

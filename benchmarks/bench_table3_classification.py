@@ -30,9 +30,9 @@ from common import (
     save_experiment,
 )
 from repro.builder import MOBILENET_CFGS, QuadraticModelConfig, reduce_mobilenet_cfg
+from repro.engine import run_classification
 from repro.models import MobileNetV1, ResNet, vgg_from_cfg
 from repro.profiler import estimate_training_memory, profile_latency
-from repro.training import train_classifier
 from repro.utils import print_table
 
 EPOCHS = 2
@@ -91,9 +91,9 @@ def test_table3_classification(family, benchmark):
                                   num_classes=NUM_CLASSES, warmup=0, iterations=1)
         memory = estimate_training_memory(model, (3, IMAGE_SIZE, IMAGE_SIZE),
                                           num_classes=NUM_CLASSES)
-        history = train_classifier(model, train_set, test_set, epochs=EPOCHS,
-                                   batch_size=BATCH_SIZE, lr=0.05,
-                                   max_batches_per_epoch=MAX_BATCHES, seed=9)
+        history = run_classification(model, train_set, test_set, epochs=EPOCHS,
+                                     batch_size=BATCH_SIZE, lr=0.05,
+                                     max_batches_per_epoch=MAX_BATCHES, seed=9)
         rows.append([
             variant, structure, params,
             round(latency.train_ms_per_batch, 1),

@@ -14,13 +14,9 @@ import numpy as np
 
 from repro.builder import QuadraticModelConfig
 from repro.data.synthetic import SyntheticDetectionDataset, SyntheticImageClassification
+from repro.engine import run_detection
 from repro.models import build_ssd
-from repro.training import (
-    evaluate_detector,
-    load_pretrained_backbone,
-    pretrain_backbone,
-    train_detector,
-)
+from repro.training import evaluate_detector, load_pretrained_backbone, pretrain_backbone
 from repro.utils import print_table, seed_everything
 
 IMAGE = 64
@@ -51,7 +47,7 @@ def main() -> None:
             copied = load_pretrained_backbone(detector, backbone_state)
             print(f"{name}: copied {copied} backbone tensors from the classification run")
         print(f"Training {name}...")
-        history = train_detector(detector, train_set, epochs=EPOCHS, batch_size=8, lr=5e-3)
+        history = run_detection(detector, train_set, epochs=EPOCHS, batch_size=8, lr=5e-3)
         result = evaluate_detector(detector, test_set, score_threshold=0.2)
         per_class = ["-" if np.isnan(ap) else f"{ap:.2f}" for ap in result["per_class_ap"]]
         rows.append([name, f"{history.final_loss:.2f}"] + per_class + [f"{result['map']:.3f}"])

@@ -9,14 +9,13 @@ registries are browsable by name::
     python -m repro list models                        # registry listings
     python -m repro list neurons
     python -m repro list datasets
-    python -m repro profile --model vgg16 --neuron-type OURS
+    python -m repro profile smoke --per-layer          # params / MACs / memory
     python -m repro neurons                            # Table-1 view
+    python -m repro train --resume ckpts/latest.npz    # finish an interrupted run
 
-The pre-redesign workflow subcommands (``train`` / ``convert`` / ``ppml`` /
-``explore``) keep working as deprecation shims that assemble the equivalent
-spec internally and emit one ``DeprecationWarning`` naming the new entry
-point.  Every subcommand prints fixed-width tables (the same renderer the
-benchmark harness uses) and exits with status 0 on success.
+``infer``, ``secure-infer``, ``serve``, ``plan`` and ``profile`` take the same
+``SPEC`` argument as ``run``.  Every subcommand prints fixed-width tables (the
+same renderer the benchmark harness uses) and exits with status 0 on success.
 """
 
 from .main import build_parser, main

@@ -3,9 +3,9 @@
 The CLI is a thin shell over :mod:`repro.experiment`: ``repro run`` executes a
 declarative JSON spec (or a bundled preset) through the
 :class:`~repro.experiment.Experiment` facade, and ``repro list`` prints the
-component registries a spec may reference.  The pre-redesign workflow
-subcommands (``train`` / ``convert`` / ``ppml`` / ``explore``) keep working as
-deprecation shims that assemble the equivalent spec internally.
+component registries a spec may reference.  Every subcommand that works on a
+model takes the same ``SPEC`` argument (a spec file or a preset name);
+``repro train --resume`` rebuilds its run from the spec a checkpoint embeds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..backends import BACKENDS, backend_description, backend_names
 from ..experiment import (
@@ -23,31 +23,17 @@ from ..experiment import (
     MODELS,
     OPTIMIZERS,
     TRAINERS,
-    DataSpec,
     Experiment,
     ExperimentSpec,
-    ModelSpec,
-    PPMLSpec,
-    ProfileSpec,
-    SearchSpec,
-    TrainSpec,
     get_preset,
-    neuron_names,
     preset_names,
 )
 from ..quadratic.neuron_types import NEURON_TYPES
-from ..utils.deprecation import warn_deprecated
 from ..utils.logging import format_table
-
-#: Model families the CLI can build — the model registry's keys.
-MODEL_CHOICES = tuple(MODELS.names())
 
 #: Compute backends of the compiled inference path — the backend registry's
 #: keys, so ``--backend`` help text and errors can never drift from the code.
 BACKEND_CHOICES = tuple(backend_names())
-
-#: Models usable by the image-workload subcommands (``mlp`` takes vectors).
-IMAGE_MODEL_CHOICES = tuple(name for name in MODEL_CHOICES if name != "mlp")
 
 
 class CLIError(Exception):
@@ -66,43 +52,42 @@ def _experiment(spec: ExperimentSpec, **kwargs) -> Experiment:
         raise CLIError(str(error)) from None
 
 
-def _legacy_spec(args: argparse.Namespace, **overrides) -> ExperimentSpec:
-    """The ExperimentSpec equivalent of the legacy model/data flag soup."""
-    samples = getattr(args, "samples", 256)
-    # LeNet and SmallConvNet size their classifier head from the input
-    # resolution; the zoo backbones are resolution-agnostic.
-    extra = ({"image_size": args.image_size}
-             if args.model in ("lenet", "small_convnet") else {})
-    spec = ExperimentSpec(
-        seed=args.seed,
-        model=ModelSpec(
-            name=args.model,
-            neuron_type=getattr(args, "neuron_type", "OURS"),
-            num_classes=args.num_classes,
-            width_multiplier=args.width_multiplier,
-            extra=extra,
-        ),
-        data=DataSpec(
-            num_samples=samples,
-            test_samples=max(samples // 2, 16),
-            num_classes=args.num_classes,
-            image_size=args.image_size,
-            seed=args.seed,
-        ),
-        train=TrainSpec(
-            epochs=getattr(args, "epochs", 2),
-            batch_size=getattr(args, "batch_size", 32),
-            lr=getattr(args, "lr", 0.05),
-            max_batches_per_epoch=getattr(args, "max_batches", None),
-            seed=args.seed,
-        ),
-    )
-    return spec.with_(**overrides) if overrides else spec
+# --------------------------------------------------------------------------- #
+# Spec-driven entry points: run / list
+# --------------------------------------------------------------------------- #
+
+def _print_epochs(history: dict, title: str) -> None:
+    """Render a classification history dict as one row per epoch."""
+    losses = history.get("train_loss", [])
+    rows = [[epoch + 1, round(loss, 4), round(train_acc, 3),
+             round(test_acc, 3) if test_acc is not None else "-"]
+            for epoch, (loss, train_acc, test_acc)
+            in enumerate(zip(losses, history.get("train_accuracy", []),
+                             history.get("test_accuracy", []) or [None] * len(losses)))]
+    _print(format_table(["Epoch", "Train loss", "Train acc", "Test acc"], rows, title=title))
 
 
-# --------------------------------------------------------------------------- #
-# The new entry points: run / list
-# --------------------------------------------------------------------------- #
+def _print_profile(profile: dict, title: str) -> None:
+    """Render an Experiment.profile() result (plus per-layer rows if present)."""
+    rows = [["parameters", f"{profile['parameters']:,}"],
+            ["MACs (one sample)", f"{profile['macs']:,}"],
+            [f"training memory @ batch {profile['memory_batch_size']}",
+             f"{profile['training_memory_bytes'] / 1024 ** 3:.2f} GiB"]]
+    if "train_ms_per_batch" in profile:
+        rows.append(["train latency / batch", f"{profile['train_ms_per_batch']:.1f} ms"])
+        rows.append(["inference latency / batch",
+                     f"{profile['inference_ms_per_batch']:.1f} ms"])
+    if "compiled_ms_per_batch" in profile:
+        rows.append([f"compiled latency / batch ({profile['compiled_backend']})",
+                     f"{profile['compiled_ms_per_batch']:.1f} ms"])
+    _print(format_table(["Metric", "Value"], rows, title=title))
+    if "layers" in profile:
+        layer_rows = [[layer["name"], layer["type"], f"{layer['parameters']:,}",
+                       f"{layer['macs']:,}"] for layer in profile["layers"]]
+        _print("")
+        _print(format_table(["Layer", "Type", "#Param", "MACs"], layer_rows,
+                            title="Per-layer profile"))
+
 
 def _print_run_summary(summary: dict) -> None:
     """Render the per-step results of an Experiment.run() as tables."""
@@ -117,31 +102,13 @@ def _print_run_summary(summary: dict) -> None:
                             title=f"Experiment '{spec['name']}': build"))
     if "fit" in results:
         fit = results["fit"]
-        history = fit.get("history", {})
-        rows = [[epoch + 1, round(loss, 4), round(train_acc, 3),
-                 round(test_acc, 3) if test_acc is not None else "-"]
-                for epoch, (loss, train_acc, test_acc)
-                in enumerate(zip(history.get("train_loss", []),
-                                 history.get("train_accuracy", []),
-                                 history.get("test_accuracy", [])
-                                 or [None] * len(history.get("train_loss", []))))]
-        _print(format_table(["Epoch", "Train loss", "Train acc", "Test acc"], rows,
-                            title=f"fit ({fit['seconds']:.1f}s)"))
+        _print_epochs(fit.get("history", {}), title=f"fit ({fit['seconds']:.1f}s)")
     if "evaluate" in results:
         _print(format_table(["Metric", "Value"],
                             [["test accuracy", round(results["evaluate"]["test_accuracy"], 3)]],
                             title="evaluate"))
     if "profile" in results:
-        profile = results["profile"]
-        rows = [["parameters", f"{profile['parameters']:,}"],
-                ["MACs (one sample)", f"{profile['macs']:,}"],
-                [f"training memory @ batch {profile['memory_batch_size']}",
-                 f"{profile['training_memory_bytes'] / 1024 ** 3:.2f} GiB"]]
-        if "train_ms_per_batch" in profile:
-            rows.append(["train latency / batch", f"{profile['train_ms_per_batch']:.1f} ms"])
-            rows.append(["inference latency / batch",
-                         f"{profile['inference_ms_per_batch']:.1f} ms"])
-        _print(format_table(["Metric", "Value"], rows, title="profile"))
+        _print_profile(results["profile"], title="profile")
     if "ppml" in results:
         ppml = results["ppml"]
         rows = [["strategy", ppml["strategy"]], ["protocol", ppml["protocol"]],
@@ -784,7 +751,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Informational subcommands
+# neurons / profile / train --resume
 # --------------------------------------------------------------------------- #
 
 def cmd_neurons(args: argparse.Namespace) -> int:
@@ -801,196 +768,44 @@ def cmd_neurons(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Parameters, MACs, training memory and latency of one model."""
-    spec = _legacy_spec(args)
-    try:
-        spec = spec.with_(profile=ProfileSpec(batch_size=args.batch_size,
-                                              latency=args.latency,
-                                              latency_repeats=args.latency_repeats,
-                                              per_layer=args.per_layer,
-                                              compiled=args.compiled,
-                                              backend=args.backend))
-    except ValueError as error:
-        raise CLIError(str(error)) from None
-    experiment = _experiment(spec)
-    profile = experiment.profile()
-    rows = [
-        ["parameters", f"{profile['parameters']:,}"],
-        ["MACs (one sample)", f"{profile['macs']:,}"],
-        ["training memory @ batch "
-         f"{args.batch_size}", f"{profile['training_memory_bytes'] / 1024 ** 3:.2f} GiB"],
-    ]
-    if args.latency:
-        rows.append(["train latency / batch", f"{profile['train_ms_per_batch']:.1f} ms"])
-        rows.append(["inference latency / batch",
-                     f"{profile['inference_ms_per_batch']:.1f} ms"])
-        if "compiled_ms_per_batch" in profile:
-            rows.append(["compiled latency / batch "
-                         f"({profile['compiled_backend']})",
-                         f"{profile['compiled_ms_per_batch']:.1f} ms"])
-    _print(format_table(["Metric", "Value"], rows,
-                        title=f"{args.model} (neuron type {args.neuron_type})"))
-    if args.per_layer:
-        layer_rows = [[layer["name"], layer["type"], f"{layer['parameters']:,}",
-                       f"{layer['macs']:,}"] for layer in profile["layers"]]
-        _print("")
-        _print(format_table(["Layer", "Type", "#Param", "MACs"], layer_rows,
-                            title="Per-layer profile"))
-    return 0
+    """Parameters, MACs, training memory and latency of a spec's model.
 
-
-# --------------------------------------------------------------------------- #
-# Legacy workflow subcommands (deprecation shims over the experiment API)
-# --------------------------------------------------------------------------- #
-
-def cmd_convert(args: argparse.Namespace) -> int:
-    """Convert a first-order model to a QDNN with the auto-builder."""
-    from ..builder.auto_builder import AutoBuilder
-    from ..utils.seed import seed_everything
-
-    warn_deprecated(
-        "the 'repro convert' subcommand",
-        "'repro run <spec.json>' with ModelSpec(auto_build=True)",
-    )
-    seed_everything(args.seed)
-    spec = _legacy_spec(args)
-    model = spec.model.with_(neuron_type="first_order").build()
-    params_before = model.num_parameters()
-    builder = AutoBuilder(neuron_type=args.neuron_type, hybrid_bp=args.hybrid_bp,
-                          convert_linear=args.convert_linear)
-    report = builder.convert(model)
-    rows = [
-        ["converted layers", report.converted_layers],
-        ["parameters before", f"{params_before:,}"],
-        ["parameters after", f"{report.parameters_after:,}"],
-        ["parameter ratio", f"{report.parameter_ratio:.2f}x"],
-    ]
-    _print(format_table(["Metric", "Value"], rows,
-                        title=f"Auto-builder conversion of {args.model} to {args.neuron_type}"))
+    The spec's ``profile`` section sets the defaults; each profiling flag
+    overrides it only when given.
+    """
+    spec = _load_spec(args.spec)
+    overrides = {name: getattr(args, name) for name in (
+        "batch_size", "latency", "latency_repeats", "per_layer", "compiled", "backend")
+        if getattr(args, name) is not None}
+    experiment = _experiment(spec.with_(profile=spec.profile.with_(**overrides)))
+    _print_profile(experiment.profile(),
+                   title=f"{spec.model.name} (neuron type "
+                         f"{spec.model.effective_neuron_type})")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    """Train a model on the synthetic classification workload.
+    """Resume an interrupted training run from its checkpoint.
 
-    With ``--resume <checkpoint>`` the run is rebuilt entirely from the spec
-    embedded in the checkpoint file — model, data, recipe and RNG streams all
-    restore, so the completed training is bit-identical to one that was never
-    interrupted.
+    The run is rebuilt entirely from the spec embedded in the checkpoint file
+    — model, data, recipe and RNG streams all restore, so the completed
+    training is bit-identical to one that was never interrupted.
     """
-    if args.resume is not None:
-        payload = _checkpoint_payload(args.resume)
-        spec = _spec_from_checkpoint(payload, args.resume)
-        # Clear any stop request the interrupted run carried; keep its
-        # checkpoint_dir so the resumed run goes on writing checkpoints.
-        spec = spec.with_(train=spec.train.with_(resume_from=args.resume,
-                                                 stop_after_epoch=None))
-        experiment = _experiment(spec)
-        history = experiment.fit()
-        title = (f"Resumed '{spec.name}' from epoch {payload.get('epoch')} "
-                 f"of {spec.train.epochs}")
-    else:
-        warn_deprecated(
-            "the 'repro train' subcommand",
-            "'repro run <spec.json>' (see 'repro list presets' for starting points)",
-        )
-        experiment = _experiment(_legacy_spec(args))
-        history = experiment.fit()
-        title = f"Training {args.model} ({args.neuron_type}) on synthetic data"
-    test_accuracy = history.test_accuracy or [None] * len(history.train_loss)
-    rows = [[epoch + 1, round(loss, 4), round(train_acc, 3),
-             round(test_acc, 3) if test_acc is not None else "-"]
-            for epoch, (loss, train_acc, test_acc)
-            in enumerate(zip(history.train_loss, history.train_accuracy, test_accuracy))]
-    _print(format_table(["Epoch", "Train loss", "Train acc", "Test acc"], rows,
-                        title=title))
-    return 0
-
-
-def cmd_ppml(args: argparse.Namespace) -> int:
-    """PPML online-cost analysis before/after conversion."""
-    warn_deprecated(
-        "the 'repro ppml' subcommand",
-        "'repro run <spec.json>' with a PPMLSpec and steps=['build', 'ppml']",
-    )
-    spec = _legacy_spec(args)
-    spec = spec.with_(model=spec.model.with_(neuron_type="first_order"),
-                      ppml=PPMLSpec(strategy=args.strategy, protocol=args.protocol))
-    experiment = _experiment(spec)
-    _, result = experiment.to_ppml()
-    rows = [
-        ["strategy", args.strategy],
-        ["protocol", args.protocol],
-        ["activations replaced", result["activations_replaced"]],
-        ["layers quadratized", result["layers_quadratized"]],
-        ["online latency before",
-         "not runnable" if result["online_latency_ms_before"] is None
-         else f"{result['online_latency_ms_before']:.1f} ms"],
-        ["online latency after", f"{result['online_latency_ms_after']:.1f} ms"],
-        ["online comm before",
-         "not runnable" if result["online_comm_mb_before"] is None
-         else f"{result['online_comm_mb_before']:.1f} MB"],
-        ["online comm after", f"{result['online_comm_mb_after']:.1f} MB"],
-    ]
-    _print(format_table(["Metric", "Value"], rows,
-                        title=f"PPML conversion of {args.model} under {args.protocol}"))
-    return 0
-
-
-def cmd_explore(args: argparse.Namespace) -> int:
-    """Random / evolutionary exploration on the synthetic proxy task."""
-    warn_deprecated(
-        "the 'repro explore' subcommand",
-        "'repro run <spec.json>' with a SearchSpec and steps=['search']",
-    )
-    spec = _legacy_spec(args)
-    spec = spec.with_(
-        search=SearchSpec(
-            strategy=args.strategy, budget=args.budget, top=args.top,
-            epochs=args.epochs, batch_size=args.batch_size,
-            max_batches_per_epoch=args.max_batches, lr=args.lr,
-            space={"min_stages": 2, "max_stages": 3,
-                   "min_convs_per_stage": 1, "max_convs_per_stage": 2,
-                   "width_choices": [16, 32, 64],
-                   "neuron_types": ["first_order", "OURS"]},
-        ),
-        steps=["search"],
-    )
-    experiment = _experiment(spec)
-    result = experiment.search()
-    search = experiment.results["search"]
-    rows = [[e.genome.key(), e.genome.neuron_type, e.genome.num_conv_layers,
-             f"{e.parameters:,}", round(e.accuracy, 3)] for e in result.top(args.top)]
-    _print(format_table(["Candidate", "Neuron", "#Conv", "#Param", "Proxy acc"], rows,
-                        title=f"{args.strategy} search over {search['cardinality']:,} structures "
-                              f"({search['evaluations_used']} evaluations)"))
+    payload = _checkpoint_payload(args.resume)
+    spec = _spec_from_checkpoint(payload, args.resume)
+    # Clear any stop request the interrupted run carried; keep its
+    # checkpoint_dir so the resumed run goes on writing checkpoints.
+    spec = spec.with_(train=spec.train.with_(resume_from=args.resume,
+                                             stop_after_epoch=None))
+    history = _experiment(spec).fit()
+    _print_epochs(history.to_dict(), title=f"Resumed '{spec.name}' from epoch "
+                                           f"{payload.get('epoch')} of {spec.train.epochs}")
     return 0
 
 
 # --------------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------------- #
-
-def _add_model_arguments(parser: argparse.ArgumentParser, default_model: str = "vgg8") -> None:
-    parser.add_argument("--model", default=default_model, choices=IMAGE_MODEL_CHOICES,
-                        help="model family from the registry ('repro list models')")
-    parser.add_argument("--neuron-type", default="OURS",
-                        help="neuron design (first_order, OURS, T2, T3, T4, fan, ...)")
-    parser.add_argument("--num-classes", type=int, default=10)
-    parser.add_argument("--width-multiplier", type=float, default=1.0,
-                        help="scale every channel count (use <1 on slow machines)")
-    parser.add_argument("--image-size", type=int, default=32)
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_training_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=2)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--samples", type=int, default=256, help="synthetic training samples")
-    parser.add_argument("--max-batches", type=int, default=None,
-                        help="cap batches per epoch (for quick smoke runs)")
-    parser.add_argument("--lr", type=float, default=0.05)
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level ``python -m repro`` argument parser."""
@@ -1178,66 +993,35 @@ def build_parser() -> argparse.ArgumentParser:
     neurons = subparsers.add_parser("neurons", help="list the quadratic neuron designs (Table 1)")
     neurons.set_defaults(func=cmd_neurons)
 
-    profile = subparsers.add_parser("profile", help="parameters / MACs / memory of a model")
-    _add_model_arguments(profile, default_model="vgg16")
-    profile.add_argument("--batch-size", type=int, default=256)
-    profile.add_argument("--per-layer", action="store_true", help="also print per-layer rows")
-    profile.add_argument("--latency", action="store_true", help="measure forward latency")
-    profile.add_argument("--latency-repeats", type=int, default=3)
-    profile.add_argument("--compiled", action="store_true",
+    profile = subparsers.add_parser(
+        "profile", help="parameters / MACs / memory / latency of a spec's model")
+    profile.add_argument("spec", help="path to a spec JSON file, or a bundled preset name")
+    profile.add_argument("--batch-size", type=int, default=None,
+                         help="batch size of the memory estimate (default: the spec's)")
+    profile.add_argument("--per-layer", action="store_true", default=None,
+                         help="also print per-layer rows")
+    profile.add_argument("--latency", action="store_true", default=None,
+                         help="measure forward latency")
+    profile.add_argument("--latency-repeats", type=int, default=None)
+    profile.add_argument("--compiled", action="store_true", default=None,
                          help="with --latency, also time the compiled forward")
-    profile.add_argument("--backend", default="numpy",
+    profile.add_argument("--backend", default=None,
                          help="compute backend of the compiled timing: "
                               f"{', '.join(BACKEND_CHOICES)}")
     profile.set_defaults(func=cmd_profile)
 
-    convert = subparsers.add_parser(
-        "convert", help="[deprecated: use 'run'] auto-build a QDNN from a first-order model")
-    _add_model_arguments(convert, default_model="vgg16")
-    convert.add_argument("--hybrid-bp", action="store_true",
-                         help="use the memory-efficient symbolic-backward layers")
-    convert.add_argument("--convert-linear", action="store_true",
-                         help="also convert dense layers")
-    convert.set_defaults(func=cmd_convert)
-
     train = subparsers.add_parser(
-        "train", help="train on the synthetic workload (--resume continues a "
-                      "checkpoint; the flag-soup form is deprecated: use 'run')")
-    _add_model_arguments(train)
-    _add_training_arguments(train)
-    train.add_argument("--resume", default=None, metavar="CKPT",
-                       help="resume from a training checkpoint written by "
-                            "'repro run --checkpoint-dir' (model flags are ignored; "
-                            "the run rebuilds from the spec inside the checkpoint)")
+        "train", help="resume an interrupted training run from its checkpoint")
+    train.add_argument("--resume", required=True, metavar="CKPT",
+                       help="training checkpoint written by 'repro run --checkpoint-dir'; "
+                            "the run rebuilds from the spec inside it")
     train.set_defaults(func=cmd_train)
-
-    ppml = subparsers.add_parser(
-        "ppml", help="[deprecated: use 'run'] PPML online-cost analysis and conversion")
-    _add_model_arguments(ppml)
-    ppml.add_argument("--strategy", default="quadratic_no_relu",
-                      choices=("square", "quadratic", "quadratic_no_relu"))
-    ppml.add_argument("--protocol", default="delphi", choices=("delphi", "gazelle", "cryptonets"))
-    ppml.set_defaults(func=cmd_ppml)
-
-    explore = subparsers.add_parser(
-        "explore", help="[deprecated: use 'run'] architecture search on the proxy task")
-    _add_model_arguments(explore)
-    _add_training_arguments(explore)
-    explore.add_argument("--strategy", default="random", choices=("random", "evolution"))
-    explore.add_argument("--budget", type=int, default=8, help="proxy evaluations")
-    explore.add_argument("--top", type=int, default=5, help="candidates to print")
-    explore.set_defaults(func=cmd_explore)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    import warnings
-
-    # Deprecation shims must be visible on the console (Python hides
-    # DeprecationWarning outside __main__ by default).
-    warnings.simplefilter("default", DeprecationWarning)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

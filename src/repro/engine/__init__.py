@@ -14,9 +14,9 @@ model).  On top of the shared loop the engine provides:
   (:class:`repro.data.PrefetchDataLoader`) that overlap batch assembly with
   compute without changing numerics.
 
-The legacy entry points in :mod:`repro.training` are thin adapters over this
-engine with their public signatures and history semantics preserved bit for
-bit.
+The ``run_classification`` / ``run_detection`` / ``run_gan`` helpers are the
+direct-call training entry points; :mod:`repro.training` keeps the history
+types they return and the evaluation helpers.
 
 Example
 -------

@@ -4,18 +4,14 @@ A :class:`TaskAdapter` owns everything the unified
 :class:`~repro.engine.Trainer` must not know about a workload: how batches
 are produced, what one optimization step does (the GAN adapter owns its
 two-optimizer step), how an epoch is evaluated and recorded, and which state
-a checkpoint must capture.  The four adapters here reproduce the four legacy
-loops of :mod:`repro.training` *bit for bit* — the parity tests in
-``tests/engine`` keep frozen copies of the old loops and compare histories
-and final weights exactly.
+a checkpoint must capture.  The four adapters reproduce the four
+pre-engine loops *bit for bit* — the parity tests in ``tests/engine`` keep
+frozen copies of the old loops and compare histories and final weights
+exactly.
 
-The ``run_*`` helpers assemble adapter + trainer for the common case and are
-what the thin public functions in :mod:`repro.training` (and the trainer
-registry behind :meth:`repro.experiment.Experiment.fit`) call.
-
-All imports from :mod:`repro.training` are deferred to runtime: the training
-modules import this package for their implementations, so a module-level
-import here would be circular.
+The ``run_*`` helpers assemble adapter + trainer for the common case; they
+are the direct-call training entry points, and the trainer registry behind
+:meth:`repro.experiment.Experiment.fit` calls them too.
 """
 
 from __future__ import annotations
@@ -35,6 +31,9 @@ from ..nn.module import Module
 from ..optim.adam import Adam
 from ..optim.lr_scheduler import CosineAnnealingLR, LRScheduler, MultiStepLR
 from ..optim.sgd import SGD
+from ..training.classification import TrainingHistory, evaluate_classifier
+from ..training.detection import DetectionTrainingHistory
+from ..training.gan import GANTrainingHistory
 from ..utils.serialization import rng_state, set_rng_state
 from .trainer import Trainer
 
@@ -45,7 +44,7 @@ class StepResult:
 
     metrics: Dict[str, float] = field(default_factory=dict)
     #: request an immediate stop (divergence); the trainer skips epoch-end
-    #: bookkeeping exactly as the legacy loops did.
+    #: bookkeeping exactly as the pre-engine loops did.
     stop: bool = False
 
 
@@ -60,7 +59,7 @@ class TaskAdapter:
         Total epochs (GAN adapters map one paper "step" to one epoch, which
         makes every step a valid checkpoint/resume boundary).
     max_batches_per_epoch : int or None
-        Cap enforced by the trainer (mirrors the legacy loops' cap).
+        Cap enforced by the trainer (mirrors the pre-engine loops' cap).
     history
         The task's history object, returned by ``Trainer.fit``.
     """
@@ -122,7 +121,7 @@ def _wrap_prefetch(loader: DataLoader, prefetch: bool, depth: int,
                    max_batches: Optional[int]):
     """Optionally wrap a loader with the prefetching pipeline.
 
-    The legacy loops pull one batch *past* the cap before breaking (the
+    The pre-engine loops pull one batch *past* the cap before breaking (the
     ``enumerate`` check runs after the pull), so a capped prefetch worker must
     assemble ``cap + 1`` batches for per-sample transform RNGs to advance
     identically to a synchronous epoch.
@@ -138,7 +137,7 @@ def _wrap_prefetch(loader: DataLoader, prefetch: bool, depth: int,
 # --------------------------------------------------------------------------- #
 
 class ClassificationAdapter(TaskAdapter):
-    """The paper's SGD + CosineAnnealing recipe (legacy ``train_classifier``)."""
+    """The paper's SGD + CosineAnnealing recipe."""
 
     task = "classification"
 
@@ -151,8 +150,6 @@ class ClassificationAdapter(TaskAdapter):
                  optimizer_factory: Optional[Callable] = None,
                  prefetch: bool = False, prefetch_depth: int = 2) -> None:
         from ..quadratic.gradients import GradientFlowProbe
-        from ..training.classification import TrainingHistory
-
         self.model = model
         self.train_dataset = train_dataset
         self.num_epochs = int(epochs)
@@ -218,8 +215,6 @@ class ClassificationAdapter(TaskAdapter):
                                    "train_accuracy": batch_accuracy})
 
     def epoch_end(self, epoch: int) -> Dict[str, float]:
-        from ..training.classification import evaluate_classifier
-
         if self.probe is not None:
             self.probe.snapshot()
         history = self.history
@@ -259,8 +254,6 @@ class ClassificationAdapter(TaskAdapter):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        from ..training.classification import TrainingHistory
-
         self.model.load_state_dict(state["model"])
         self.optimizer.load_state_dict(state["optimizer"])
         if self.lr_scheduler is not None and state.get("scheduler") is not None:
@@ -274,11 +267,15 @@ class ClassificationAdapter(TaskAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# Detection (SSD multibox training, legacy ``train_detector``).
+# Detection (SSD multibox training).
 # --------------------------------------------------------------------------- #
 
 class DetectionAdapter(TaskAdapter):
-    """SGD + step-decay SSD training (paper Sec. 5.4, scaled down)."""
+    """SGD + step-decay SSD training (paper Sec. 5.4, scaled down).
+
+    The paper decays the learning rate 10x at iterations 80 k and 100 k; the
+    scaled version exposes the same mechanism through epoch ``milestones``.
+    """
 
     task = "detection"
 
@@ -288,8 +285,6 @@ class DetectionAdapter(TaskAdapter):
                  max_batches_per_epoch: Optional[int] = None, seed: int = 0,
                  prefetch: bool = False, prefetch_depth: int = 2) -> None:
         from ..data.synthetic.detection import detection_collate
-        from ..training.detection import DetectionTrainingHistory
-
         self.model = model
         self.train_dataset = dataset
         self.num_epochs = int(epochs)
@@ -346,8 +341,6 @@ class DetectionAdapter(TaskAdapter):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        from ..training.detection import DetectionTrainingHistory
-
         self.model.load_state_dict(state["model"])
         self.optimizer.load_state_dict(state["optimizer"])
         if self.lr_scheduler is not None and state.get("scheduler") is not None:
@@ -358,7 +351,7 @@ class DetectionAdapter(TaskAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# GAN (SNGAN hinge training, legacy ``train_sngan``).
+# GAN (SNGAN hinge training).
 # --------------------------------------------------------------------------- #
 
 class GANAdapter(TaskAdapter):
@@ -366,7 +359,9 @@ class GANAdapter(TaskAdapter):
 
     One paper "step" (``discriminator_steps`` discriminator updates plus one
     generator update) is mapped to one engine epoch, so every step boundary
-    is a checkpoint/resume point with its RNG stream captured.
+    is a checkpoint/resume point with its RNG stream captured.  The original
+    SNGAN uses 5 discriminator updates per generator update; the scaled
+    benchmark uses 1.
     """
 
     task = "gan"
@@ -375,8 +370,6 @@ class GANAdapter(TaskAdapter):
                  batch_size: int = 32, lr_generator: float = 2e-4,
                  lr_discriminator: float = 2e-4, betas: Tuple[float, float] = (0.5, 0.9),
                  discriminator_steps: int = 1, seed: int = 0) -> None:
-        from ..training.gan import GANTrainingHistory
-
         self.generator = generator
         self.discriminator = discriminator
         self.dataset = dataset
@@ -442,8 +435,6 @@ class GANAdapter(TaskAdapter):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        from ..training.gan import GANTrainingHistory
-
         self.generator.load_state_dict(state["generator"])
         self.discriminator.load_state_dict(state["discriminator"])
         self.opt_g.load_state_dict(state["opt_g"])
@@ -478,7 +469,7 @@ def run_classification(model: Module, train_dataset, test_dataset=None, *,
                        resume_from: Optional[str] = None,
                        stop_after_epoch: Optional[int] = None,
                        spec: Optional[Dict[str, Any]] = None):
-    """Train a classifier through the engine; the legacy recipe plus engine extras."""
+    """Train a classifier through the engine: the paper's recipe plus engine extras."""
     adapter = ClassificationAdapter(
         model, train_dataset, test_dataset, epochs=epochs, batch_size=batch_size,
         lr=lr, momentum=momentum, weight_decay=weight_decay, scheduler=scheduler,

@@ -107,24 +107,12 @@ class Experiment:
         model = self.model if self.model is not None else self.build()
         train_set, test_set = self.datasets()
         trainer = reg.TRAINERS.get(self.spec.train.trainer)
-        optimizer_factory = self._optimizer_factory()
-        # Engine extras beyond the original PR 1 trainer contract.  They are
-        # only passed when the trainer accepts them, so custom trainers
-        # registered against the old 4+1-argument signature keep working.
-        extras = {"callbacks": callbacks, "experiment_spec": self.spec.to_dict()}
-        try:
-            import inspect
-
-            parameters = inspect.signature(trainer).parameters
-            if not any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
-                extras = {key: value for key, value in extras.items()
-                          if key in parameters}
-        except (TypeError, ValueError):  # builtins/partials without signatures
-            pass
         start = time.perf_counter()
         with np.errstate(all="ignore"):
             self.history = trainer(model, train_set, test_set, self.spec.train,
-                                   optimizer_factory=optimizer_factory, **extras)
+                                   optimizer_factory=self._optimizer_factory(),
+                                   callbacks=callbacks,
+                                   experiment_spec=self.spec.to_dict())
         result = {"seconds": time.perf_counter() - start}
         if self.spec.train.checkpoint_dir is not None:
             result["checkpoint_dir"] = self.spec.train.checkpoint_dir

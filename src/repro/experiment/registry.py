@@ -17,10 +17,7 @@ Registries
 ``NEURONS``        quadratic neuron designs (views of ``NEURON_TYPES``)
 ``TRAINERS``       ``name -> trainer(model, train_set, test_set, TrainSpec,
                    optimizer_factory=None, callbacks=(), experiment_spec=None)``
-                   — ``Experiment.fit`` passes ``callbacks``/``experiment_spec``
-                   only to trainers whose signature accepts them, so trainers
-                   registered against the older 4+1-argument contract keep
-                   working (they just don't see the engine extras)
+                   — ``Experiment.fit`` always passes all three keywords
 ``OPTIMIZERS``     ``name -> Optimizer class``
 ``CALLBACKS``      ``name -> repro.engine.Callback subclass``
 

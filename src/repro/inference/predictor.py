@@ -267,11 +267,6 @@ class BatchedPredictor:
                 leftover._reject(RuntimeError(
                     "predictor closed before this sample was served"))
 
-    #: ``shutdown()`` is the serving-facing name for :meth:`close` — the
-    #: worker-pool integration (``repro.serve``) standardised on it.  Both
-    #: are idempotent and safe to call from any thread.
-    shutdown = close
-
     def __enter__(self) -> "BatchedPredictor":
         return self
 

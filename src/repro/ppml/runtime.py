@@ -434,9 +434,6 @@ class SecurePredictor:
         del timeout
         self._closed = True
 
-    #: Deprecated-era alias kept for symmetry with ``BatchedPredictor``.
-    shutdown = close
-
     def __enter__(self) -> "SecurePredictor":
         return self
 

@@ -49,7 +49,6 @@ from .batching import (
     DEFAULT_PIPELINE_DEPTH,
     MAX_PIPELINE_DEPTH,
     MIN_PIPELINE_DEPTH,
-    PIPELINE_DEPTH,
     PipelineController,
     RequestBacklog,
     coalescing_key,
@@ -82,7 +81,6 @@ __all__ = [
     "DEFAULT_PIPELINE_DEPTH",
     "MAX_PIPELINE_DEPTH",
     "MIN_PIPELINE_DEPTH",
-    "PIPELINE_DEPTH",
     "PipelineController",
     "RequestBacklog",
     "coalescing_key",

@@ -14,7 +14,6 @@ either inline or through the worker's shared-memory rings):
 * parent → worker::
 
       ("batch", batch_id, [request_ids], payload[, meta])   # the data plane
-      ("predict", request_id, sample)               # legacy single-sample
       ("sleep", request_id, seconds)                # drain tests, warm-up
       None                                          # drain and exit
 
@@ -54,13 +53,11 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 #: Message kinds a worker understands.
-REQUEST_KINDS = ("batch", "predict", "sleep")
+REQUEST_KINDS = ("batch", "sleep")
 
 
-def execute_request(predictor, kind: str, payload: Any, timeout: float) -> Any:
-    """Run one already-parsed single-request frame on this worker's predictor."""
-    if kind == "predict":
-        return predictor.predict(np.asarray(payload, dtype=np.float32), timeout=timeout)
+def execute_request(kind: str, payload: Any) -> Any:
+    """Run one already-parsed control frame (everything but ``batch``)."""
     if kind == "sleep":
         time.sleep(float(payload))
         return None
@@ -390,7 +387,6 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
         backend=config_dict.get("backend", "numpy"),
         secure=config_dict if config_dict.get("secure") else None)
     fused = bool(config_dict.get("fused_batching", False))
-    request_timeout = float(config_dict.get("request_timeout", 30.0))
     arena = ResponseArena(response_ring)
     response_queue.put(("ready", worker_id, os.getpid()))
     try:
@@ -405,7 +401,7 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
                 continue
             kind, request_id, payload = message
             try:
-                result = execute_request(predictor, kind, payload, request_timeout)
+                result = execute_request(kind, payload)
                 response_queue.put(("ok", request_id, result))
             except BaseException as error:  # noqa: BLE001
                 response_queue.put(("err", request_id,

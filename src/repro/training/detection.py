@@ -1,14 +1,14 @@
 """SSD detector training and evaluation (paper Sec. 5.4, scaled down).
 
-The loop now runs through the unified engine
-(:class:`repro.engine.DetectionAdapter`); :func:`train_detector` is a thin
-adapter preserving the original signature and history semantics bit for bit.
+The loop runs through the unified engine (:class:`repro.engine.DetectionAdapter`,
+driven by :func:`repro.engine.run_detection`); this module holds the history
+it returns and the VOC-mAP evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -38,24 +38,6 @@ class DetectionTrainingHistory:
         """Tolerant inverse of :meth:`to_dict` (missing/None fields → empty)."""
         data = data or {}
         return cls(loss=[float(v) for v in (data.get("loss") or [])])
-
-
-def train_detector(model: SSD, dataset: SyntheticDetectionDataset, epochs: int = 3,
-                   batch_size: int = 8, lr: float = 1e-3, momentum: float = 0.9,
-                   weight_decay: float = 5e-4, milestones: Sequence[int] = (),
-                   max_batches_per_epoch: Optional[int] = None,
-                   seed: int = 0) -> DetectionTrainingHistory:
-    """Train the SSD with SGD and the paper's step-decay schedule.
-
-    The paper decays the learning rate 10× at iterations 80 k and 100 k; the
-    scaled version exposes the same mechanism through epoch ``milestones``.
-    """
-    from ..engine import run_detection
-
-    return run_detection(model, dataset, epochs=epochs, batch_size=batch_size, lr=lr,
-                         momentum=momentum, weight_decay=weight_decay,
-                         milestones=milestones,
-                         max_batches_per_epoch=max_batches_per_epoch, seed=seed)
 
 
 def evaluate_detector(model: SSD, dataset: SyntheticDetectionDataset, batch_size: int = 8,

@@ -1,6 +1,5 @@
 """Utility helpers: seeding, logging/tables, checkpoint serialisation."""
 
-from .deprecation import reset_deprecation_warnings, warn_deprecated
 from .logging import MetricLogger, format_table, print_table
 from .seed import current_seed, seed_everything, spawn_rng
 from .serialization import (
@@ -16,8 +15,6 @@ from .serialization import (
 )
 
 __all__ = [
-    "warn_deprecated",
-    "reset_deprecation_warnings",
     "seed_everything",
     "current_seed",
     "spawn_rng",

@@ -70,8 +70,7 @@ def test_serve_error_names_every_engine(capsys):
 
 
 def test_profile_error_names_every_engine(capsys):
-    assert main(["profile", "--model", "lenet", "--num-classes", "4",
-                 "--compiled", "--backend", "cuda"]) == 2
+    assert main(["profile", "smoke", "--compiled", "--backend", "cuda"]) == 2
     err = capsys.readouterr().err
     for name in backend_names():
         assert name in err
@@ -113,7 +112,6 @@ def test_infer_table_shows_backend(capsys):
 
 
 def test_profile_compiled_latency_reports_backend(capsys):
-    out = run(["profile", "--model", "lenet", "--image-size", "32",
-               "--num-classes", "4", "--latency", "--latency-repeats", "1",
+    out = run(["profile", "smoke", "--latency", "--latency-repeats", "1",
                "--batch-size", "4", "--compiled", "--backend", "threaded"], capsys)
     assert "compiled latency / batch (threaded)" in out

@@ -5,22 +5,35 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-
-#: Arguments shared by every training-flavoured smoke invocation to keep the
-#: CLI tests fast on a CPU.  The image size stays at 32 for the VGG-8 runs so
-#: all five pooling stages still see a non-empty feature map.
-FAST = ["--width-multiplier", "0.25", "--image-size", "32", "--num-classes", "4",
-        "--samples", "32", "--epochs", "1", "--batch-size", "16", "--max-batches", "2"]
-
-#: Exploration genomes have at most three pooling stages, so a smaller image is safe.
-FAST_SMALL_IMAGE = ["--width-multiplier", "0.25", "--image-size", "16", "--num-classes", "4",
-                    "--samples", "32", "--epochs", "1", "--batch-size", "16",
-                    "--max-batches", "2"]
+from repro.experiment import PPMLSpec, get_preset
 
 
 def run(argv, capsys) -> str:
     assert main(argv) == 0
     return capsys.readouterr().out
+
+
+def spec_file(tmp_path, spec) -> str:
+    """Save ``spec`` as JSON under ``tmp_path`` and return the path."""
+    return spec.save(str(tmp_path / "spec.json"))
+
+
+def model_only(neuron_type: str = "first_order", **model_changes):
+    """The smoke preset's model (or a variant of it), build step only."""
+    spec = get_preset("smoke")
+    return spec.with_(model=spec.model.with_(neuron_type=neuron_type, **model_changes),
+                      steps=["build"])
+
+
+def explore_spec(strategy: str, budget: int):
+    spec = get_preset("explore-small")
+    return spec.with_(search=spec.search.with_(strategy=strategy, budget=budget,
+                                               max_batches_per_epoch=2))
+
+
+def parameter_count(out: str) -> int:
+    line = next(line for line in out.splitlines() if line.startswith("parameters"))
+    return int(line.split("|")[-1].strip().replace(",", ""))
 
 
 # --------------------------------------------------------------------------- #
@@ -37,9 +50,26 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["frobnicate"])
 
 
-def test_parser_rejects_unknown_model():
+def test_parser_rejects_unknown_model(tmp_path, capsys):
+    """Model names live in the spec; an unknown one fails without a traceback."""
+    path = spec_file(tmp_path, model_only(name="transformer"))
+    assert main(["profile", path]) == 2
+    assert "transformer" in capsys.readouterr().err
+
+
+def test_subcommands_are_the_spec_driven_set():
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "command")
+    assert tuple(subparsers.choices) == ("run", "list", "infer", "secure-infer", "serve",
+                                         "plan", "neurons", "profile", "train")
+
+
+def test_train_takes_only_a_checkpoint():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["profile", "--model", "transformer"])
+        build_parser().parse_args(["train"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--model", "vgg8"])
+    assert build_parser().parse_args(["train", "--resume", "x.npz"]).resume == "x.npz"
 
 
 # --------------------------------------------------------------------------- #
@@ -54,63 +84,63 @@ def test_neurons_lists_every_registered_design(capsys):
 
 
 def test_profile_prints_parameters_and_memory(capsys):
-    out = run(["profile", "--model", "vgg8", "--neuron-type", "OURS",
-               "--width-multiplier", "0.25", "--image-size", "32", "--num-classes", "4",
-               "--batch-size", "32"], capsys)
+    out = run(["profile", "smoke"], capsys)
+    assert "vgg8 (neuron type OURS)" in out
     assert "parameters" in out
-    assert "training memory" in out
     assert "GiB" in out
+    # Without flags the spec's ProfileSpec decides: batch 32, no latency.
+    assert "training memory @ batch 32" in out
+    assert "latency" not in out
+    assert "training memory @ batch 8" in run(["profile", "smoke", "--batch-size", "8"],
+                                              capsys)
 
 
 def test_profile_per_layer_and_latency(capsys):
-    out = run(["profile", "--model", "lenet", "--image-size", "32", "--num-classes", "4",
-               "--per-layer", "--latency", "--latency-repeats", "1", "--batch-size", "4"],
-              capsys)
+    out = run(["profile", "smoke", "--per-layer", "--latency", "--latency-repeats", "1",
+               "--batch-size", "4"], capsys)
     assert "Per-layer profile" in out
     assert "train latency / batch" in out
 
 
-def test_convert_reports_parameter_ratio(capsys):
-    out = run(["convert", "--model", "vgg8", "--neuron-type", "OURS",
-               "--width-multiplier", "0.25", "--num-classes", "4"], capsys)
-    assert "converted layers" in out
-    assert "parameter ratio" in out
+def test_convert_reports_parameter_ratio(tmp_path, capsys):
+    """An auto-build spec converts the first-order model and grows it."""
+    first_order = parameter_count(run(["run", spec_file(tmp_path, model_only())], capsys))
+    out = run(["run", spec_file(tmp_path, model_only("OURS", auto_build=True))], capsys)
+    assert "auto-build" in out and "yes" in out
     # Converting to the three-weight-set neuron must grow the parameter count.
-    ratio_line = next(line for line in out.splitlines() if "parameter ratio" in line)
-    ratio = float(ratio_line.split("|")[-1].strip().rstrip("x"))
-    assert ratio > 1.5
+    assert parameter_count(out) / first_order > 1.5
 
 
-def test_train_smoke(capsys):
-    out = run(["train", "--model", "vgg8", "--neuron-type", "OURS", *FAST], capsys)
+def test_train_smoke(tmp_path, capsys):
+    spec = get_preset("smoke")
+    out = run(["run", spec_file(tmp_path, spec.with_(
+        train=spec.train.with_(epochs=1), steps=["build", "fit"]))], capsys)
     assert "Epoch" in out and "Train acc" in out
     assert "1" in out
 
 
-def test_ppml_smoke(capsys):
-    out = run(["ppml", "--model", "vgg8", "--strategy", "quadratic_no_relu",
-               "--protocol", "delphi", "--width-multiplier", "0.25", "--image-size", "32",
-               "--num-classes", "4"], capsys)
+def test_ppml_smoke(tmp_path, capsys):
+    spec = model_only().with_(ppml=PPMLSpec(strategy="quadratic_no_relu",
+                                            protocol="delphi"), steps=["build", "ppml"])
+    out = run(["run", spec_file(tmp_path, spec)], capsys)
     assert "online latency before" in out
     assert "layers quadratized" in out
 
 
-def test_ppml_cryptonets_marks_unrunnable_baseline(capsys):
-    out = run(["ppml", "--model", "vgg8", "--strategy", "square", "--protocol", "cryptonets",
-               "--width-multiplier", "0.25", "--image-size", "32", "--num-classes", "4"],
-              capsys)
-    assert "not runnable" in out
+def test_ppml_cryptonets_marks_unrunnable_baseline(tmp_path, capsys):
+    spec = model_only().with_(ppml=PPMLSpec(strategy="square", protocol="cryptonets"),
+                              steps=["build", "ppml"])
+    assert "not runnable" in run(["run", spec_file(tmp_path, spec)], capsys)
 
 
-def test_explore_random_smoke(capsys):
-    out = run(["explore", "--strategy", "random", "--budget", "3", *FAST_SMALL_IMAGE], capsys)
+def test_explore_random_smoke(tmp_path, capsys):
+    out = run(["run", spec_file(tmp_path, explore_spec("random", budget=3))], capsys)
     assert "random search over" in out
     assert "Proxy acc" in out
 
 
-def test_explore_evolution_smoke(capsys):
-    out = run(["explore", "--strategy", "evolution", "--budget", "4", *FAST_SMALL_IMAGE],
-              capsys)
+def test_explore_evolution_smoke(tmp_path, capsys):
+    out = run(["run", spec_file(tmp_path, explore_spec("evolution", budget=4))], capsys)
     assert "evolution search over" in out
 
 

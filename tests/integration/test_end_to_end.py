@@ -14,9 +14,10 @@ from repro.autodiff import Tensor, randn
 from repro.builder import AutoBuilder, QuadraticModelConfig
 from repro.data import TensorDataset
 from repro.data.synthetic import SyntheticImageClassification, circle_dataset, xor_dataset
+from repro.engine import run_classification
 from repro.models import FirstOrderMLP, QuadraticMLP, SmallConvNet
 from repro.profiler import estimate_training_memory, profile_model
-from repro.training import evaluate_classifier, train_classifier
+from repro.training import evaluate_classifier
 from repro.utils import load_checkpoint, save_checkpoint, seed_everything
 
 
@@ -30,8 +31,8 @@ class TestQuadraticAdvantageOnToyTasks:
         quadratic = QuadraticMLP([2, 4, 2], neuron_type="OURS")
         linear = FirstOrderMLP([2, 2], activation=False)
 
-        hist_quadratic = train_classifier(quadratic, dataset, epochs=15, batch_size=64, lr=0.05)
-        hist_linear = train_classifier(linear, dataset, epochs=15, batch_size=64, lr=0.05)
+        hist_quadratic = run_classification(quadratic, dataset, epochs=15, batch_size=64, lr=0.05)
+        hist_linear = run_classification(linear, dataset, epochs=15, batch_size=64, lr=0.05)
 
         assert hist_quadratic.final_train_accuracy > 0.9
         assert hist_linear.final_train_accuracy < 0.7
@@ -41,7 +42,7 @@ class TestQuadraticAdvantageOnToyTasks:
         x, y = circle_dataset(400, seed=2)
         dataset = TensorDataset(x, y)
         model = QuadraticMLP([2, 4, 2], neuron_type="T2_4")
-        history = train_classifier(model, dataset, epochs=15, batch_size=64, lr=0.05)
+        history = run_classification(model, dataset, epochs=15, batch_size=64, lr=0.05)
         assert history.final_train_accuracy > 0.85
 
 
@@ -54,7 +55,7 @@ class TestImageClassificationPipeline:
         model = SmallConvNet(num_classes=4, image_size=16,
                              config=QuadraticModelConfig(neuron_type="OURS",
                                                          width_multiplier=0.5))
-        history = train_classifier(model, train, test, epochs=4, batch_size=32, lr=0.05)
+        history = run_classification(model, train, test, epochs=4, batch_size=32, lr=0.05)
         assert history.final_train_accuracy > 0.6
         assert history.best_test_accuracy > 0.4  # far above the 0.25 chance level
 
@@ -70,8 +71,8 @@ class TestImageClassificationPipeline:
         hybrid = SmallConvNet(num_classes=4, image_size=16,
                               config=QuadraticModelConfig(neuron_type="OURS", hybrid_bp=True,
                                                           width_multiplier=0.5))
-        h_composed = train_classifier(composed, train, epochs=2, batch_size=32, lr=0.05, seed=2)
-        h_hybrid = train_classifier(hybrid, train, epochs=2, batch_size=32, lr=0.05, seed=2)
+        h_composed = run_classification(composed, train, epochs=2, batch_size=32, lr=0.05, seed=2)
+        h_hybrid = run_classification(hybrid, train, epochs=2, batch_size=32, lr=0.05, seed=2)
         assert abs(h_composed.final_train_accuracy - h_hybrid.final_train_accuracy) < 0.15
 
 
@@ -90,7 +91,7 @@ class TestAutoBuilderWorkflow:
         params_after = profile_model(model, (3, 16, 16)).total_parameters
         assert params_after > params_before
 
-        history = train_classifier(model, train, epochs=2, batch_size=32, lr=0.05)
+        history = run_classification(model, train, epochs=2, batch_size=32, lr=0.05)
         assert np.isfinite(history.train_loss[-1])
         assert history.final_train_accuracy > 0.3
 
@@ -142,7 +143,7 @@ class TestSerialization:
         train = SyntheticImageClassification(num_samples=64, num_classes=4, image_size=16)
         model = SmallConvNet(num_classes=4, image_size=16,
                              config=QuadraticModelConfig(width_multiplier=0.5))
-        train_classifier(model, train, epochs=1, batch_size=32)
+        run_classification(model, train, epochs=1, batch_size=32)
         from repro.data import DataLoader
 
         loader = DataLoader(train, batch_size=32)

@@ -8,8 +8,9 @@ through the CLI.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
-import pytest
 
 from repro import explore, models, nn, ppml
 from repro.analysis import ascii_bar_chart, sparkline
@@ -18,7 +19,8 @@ from repro.autodiff.tensor import Tensor
 from repro.builder import AutoBuilder, QuadraticModelConfig
 from repro.cli import main as cli_main
 from repro.data.synthetic import SyntheticImageClassification
-from repro.training import train_classifier
+from repro.engine import run_classification
+from repro.experiment import ExperimentSpec, ModelSpec
 from repro.utils import load_checkpoint, save_checkpoint, seed_everything
 
 
@@ -47,8 +49,8 @@ def test_autobuild_then_ppml_convert_then_train():
     assert cost.relu_count == 0
 
     with np.errstate(all="ignore"):
-        history = train_classifier(friendly, train_set, test_set, epochs=2, batch_size=16,
-                                   lr=0.05, max_batches_per_epoch=3, seed=1)
+        history = run_classification(friendly, train_set, test_set, epochs=2, batch_size=16,
+                                     lr=0.05, max_batches_per_epoch=3, seed=1)
     assert history.final_train_accuracy > 1.0 / 4
 
 
@@ -69,8 +71,8 @@ def test_explore_then_checkpoint_best_candidate(tmp_path):
     # Rebuild, train briefly, checkpoint and reload into a fresh instance.
     model = best.genome.build(num_classes=4, width_multiplier=0.5)
     with np.errstate(all="ignore"):
-        train_classifier(model, train_set, epochs=1, batch_size=16, lr=0.05,
-                         max_batches_per_epoch=2, seed=2)
+        run_classification(model, train_set, epochs=1, batch_size=16, lr=0.05,
+                           max_batches_per_epoch=2, seed=2)
     path = str(tmp_path / "best_candidate.npz")
     save_checkpoint(model, path)
 
@@ -99,16 +101,16 @@ def test_cost_report_feeds_ascii_charts():
     assert len(sparkline(latencies)) == len(latencies)
 
 
-def test_cli_convert_matches_library_parameter_ratio(capsys):
-    """The CLI and the library report the same conversion parameter ratio."""
-    seed_everything(3)
+def test_cli_convert_matches_library_parameter_ratio(tmp_path, capsys):
+    """An auto-build spec run by the CLI converts exactly like the library."""
     library_model = models.vgg8(num_classes=10, neuron_type="first_order",
                                 width_multiplier=0.25)
     library_report = AutoBuilder(neuron_type="OURS").convert(library_model)
 
-    assert cli_main(["convert", "--model", "vgg8", "--neuron-type", "OURS",
-                     "--width-multiplier", "0.25", "--num-classes", "10", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    ratio_line = next(line for line in out.splitlines() if "parameter ratio" in line)
-    cli_ratio = float(ratio_line.split("|")[-1].strip().rstrip("x"))
-    assert cli_ratio == pytest.approx(library_report.parameter_ratio, abs=0.01)
+    spec = ExperimentSpec(seed=3, steps=["build"],
+                          model=ModelSpec(name="vgg8", neuron_type="OURS", num_classes=10,
+                                          width_multiplier=0.25, auto_build=True))
+    assert cli_main(["run", spec.save(str(tmp_path / "spec.json")), "--json"]) == 0
+    build = json.loads(capsys.readouterr().out)["results"]["build"]
+    assert build["auto_build"] is True
+    assert build["parameters"] == library_report.parameters_after

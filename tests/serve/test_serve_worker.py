@@ -15,33 +15,28 @@ class TestBuildServingPredictor:
             smoke.spec.to_dict(), dict(smoke.state), max_batch_size=1, max_wait=0.0)
         try:
             for sample, expected in zip(smoke.samples, smoke.expected):
-                out = execute_request(predictor, "predict", sample, timeout=30.0)
+                out = predictor.predict(sample, timeout=30.0)
                 assert np.array_equal(out, expected)
         finally:
-            predictor.shutdown()
+            predictor.close()
 
     def test_without_state_the_worker_serves_the_seeded_build(self, smoke):
         predictor = build_serving_predictor(
             smoke.spec.to_dict(), {}, max_batch_size=1, max_wait=0.0)
         try:
-            out = execute_request(predictor, "predict", smoke.samples[0], timeout=30.0)
+            out = predictor.predict(smoke.samples[0], timeout=30.0)
             # The smoke spec builds deterministically from its seed, and the
             # parent model was never trained, so even the no-state path agrees.
             assert np.array_equal(out, smoke.expected[0])
         finally:
-            predictor.shutdown()
+            predictor.close()
 
 
 class TestExecuteRequest:
-    def test_sleep_returns_none(self, smoke):
-        predictor = build_serving_predictor(
-            smoke.spec.to_dict(), dict(smoke.state), max_batch_size=1, max_wait=0.0)
-        try:
-            assert execute_request(predictor, "sleep", 0.0, timeout=5.0) is None
-        finally:
-            predictor.shutdown()
+    def test_sleep_returns_none(self):
+        assert execute_request("sleep", 0.0) is None
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown request kind"):
-            execute_request(object(), "transmogrify", None, timeout=1.0)
-        assert REQUEST_KINDS == ("batch", "predict", "sleep")
+            execute_request("transmogrify", None)
+        assert REQUEST_KINDS == ("batch", "sleep")
