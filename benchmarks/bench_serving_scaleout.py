@@ -205,8 +205,7 @@ def measure_allocations(spec, state, samples: np.ndarray) -> dict:
     from repro.serve.shm import ShmRing
     from repro.serve.worker import ResponseArena, build_serving_predictor
 
-    predictor = build_serving_predictor(spec.to_dict(), state,
-                                        max_batch_size=8, max_wait=0.0)
+    predictor = build_serving_predictor(spec.to_dict(), state)
     compiled = predictor.compiled
     responses = queue.SimpleQueue()
     requests = np.ascontiguousarray(samples[:8])

@@ -197,8 +197,11 @@ class CapacityModel:
         Measured host rates (:meth:`repro.backends.Backend.measure_rates`).
     workers : int
         Worker processes of the deployment.
-    max_batch_size, max_wait :
-        The pool's coalescing knobs (defaults match :class:`~repro.serve.ServeConfig`).
+    max_batch_size : int
+        The pool's batch cap (default matches :class:`~repro.serve.ServeConfig`).
+    max_wait : float
+        Assumed coalescing window in seconds.  The pool never waits to fill
+        a batch; this stands in for arrivals while a batch is cut and shipped.
     secure_work : SecureWork, optional
         Protocol structure of one request (:func:`~repro.capacity.secure_work`);
         switches the service-time model to the secure online path.

@@ -491,7 +491,7 @@ def _serve_config(args: argparse.Namespace):
             raise CLIError(f"{', '.join(touched)} require(s) --secure")
     try:
         return ServeConfig(workers=args.workers, host=args.host, port=args.port,
-                           max_batch_size=args.max_batch_size, max_wait=args.max_wait,
+                           max_batch_size=args.max_batch_size,
                            queue_depth=args.queue_depth, watermark=args.watermark,
                            cache_size=args.cache_size, backend=args.backend,
                            transport=args.transport,
@@ -503,7 +503,6 @@ def _serve_config(args: argparse.Namespace):
                            truncation=args.truncation,
                            strategy=args.strategy or "",
                            triple_pool_depth=args.triple_pool_depth,
-                           pipeline_depth=args.pipeline_depth,
                            producer_workers=args.producer_workers)
     except ValueError as error:
         raise CLIError(str(error)) from None
@@ -695,12 +694,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         config = ServeConfig(workers=args.workers,
                              max_batch_size=args.max_batch_size,
-                             max_wait=args.max_wait, backend=args.backend,
+                             backend=args.backend,
                              secure=args.secure, protocol=args.protocol or "",
                              frac_bits=args.frac_bits, truncation=args.truncation,
                              strategy=args.strategy or "",
                              triple_pool_depth=args.triple_pool_depth)
-        plan = experiment.plan(args.qps, input_shape=input_shape, config=config)
+        plan = experiment.plan(args.qps, input_shape=input_shape, config=config,
+                               max_wait=args.max_wait)
     except ValueError as error:
         raise CLIError(str(error)) from None
     results = experiment.results["plan"]
@@ -913,9 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8100,
                        help="TCP port for the HTTP front door (0 = OS-assigned)")
     serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="micro-batch cap of each worker's predictor")
-    serve.add_argument("--max-wait", type=float, default=0.002,
-                       help="seconds each worker waits to fill a micro-batch")
+                       help="largest batch the pool cuts from its backlog for "
+                            "one worker")
     serve.add_argument("--queue-depth", type=int, default=32,
                        help="bound of each worker's request queue")
     serve.add_argument("--watermark", type=int, default=0,
@@ -943,10 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "SecurePredictors, a traced warm-up sizes the offline "
                             "Beaver-triple/GC-label pools, and /stats reports "
                             "per-request protocol accounting")
-    serve.add_argument("--pipeline-depth", type=int, default=0,
-                       help="batches in flight per worker: 0 (default) adapts "
-                            "within 1..4 from measured stage percentiles, "
-                            "1..4 pins the depth")
     serve.add_argument("--triple-pool-depth", type=int, default=0,
                        help="offline pool depth in request quanta (0 = sized from "
                             "workers * max pipeline depth * max-batch-size)")
@@ -970,9 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--workers", type=int, default=2,
                       help="worker processes of the deployment being planned")
     plan.add_argument("--max-batch-size", type=int, default=8,
-                      help="micro-batch cap of each worker's predictor")
+                      help="largest batch the pool cuts from its backlog for "
+                           "one worker")
     plan.add_argument("--max-wait", type=float, default=0.002,
-                      help="seconds each worker waits to fill a micro-batch")
+                      help="the planner's assumed coalescing window in seconds "
+                           "(the pool itself cuts batches without waiting)")
     plan.add_argument("--backend", default="numpy",
                       help="compute backend whose measured rates price the plan: "
                            f"{', '.join(BACKEND_CHOICES)}")

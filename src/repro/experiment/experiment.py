@@ -247,8 +247,8 @@ class Experiment:
         """A scale-out :class:`repro.serve.ServingServer` for this experiment.
 
         Ships the spec and the (built, possibly trained) model's weights to
-        ``workers`` worker processes — each compiles its own copy and
-        micro-batches its own traffic — and fronts them with the stdlib HTTP
+        ``workers`` worker processes — each compiles its own copy and runs
+        the batches the pool cuts for it — and fronts them with the stdlib HTTP
         endpoint (``POST /predict`` with an LRU response cache,
         ``GET /healthz``, ``GET /stats``).  The server is returned
         *unstarted*: use it as a context manager (or call ``start()``).
@@ -303,7 +303,7 @@ class Experiment:
     def plan(self, qps: float, workers: Optional[int] = None,
              input_shape: Optional[Tuple[int, ...]] = None,
              config: "Any" = None, rates_budget_ms: float = 60.0,
-             **config_kwargs) -> "Any":
+             max_wait: float = 0.002, **config_kwargs) -> "Any":
         """A first-principles :class:`repro.capacity.CapacityPlan` for serving.
 
         Predicts — without running a load test — the throughput, p50/p99
@@ -327,7 +327,8 @@ class Experiment:
         models whose input is not an image, e.g. the ``mlp`` zoo entry takes
         flat ``(16,)`` vectors).  ``rates_budget_ms`` bounds each kernel
         micro-probe; the first call per (backend, host) pays it, later calls
-        hit the cache.
+        hit the cache.  ``max_wait`` is the planner's assumed coalescing
+        window in seconds; the pool itself cuts batches without waiting.
         """
         from ..backends import get_backend
         from ..capacity import CapacityModel, request_work, secure_work
@@ -358,7 +359,7 @@ class Experiment:
             secure = secure_work(predictor.last_trace)
         capacity = CapacityModel(
             work, rates, workers=config.workers,
-            max_batch_size=config.max_batch_size, max_wait=config.max_wait,
+            max_batch_size=config.max_batch_size, max_wait=max_wait,
             secure_work=secure,
             triple_pool_depth=(config.effective_triple_pool_depth
                                if config.secure else 0))

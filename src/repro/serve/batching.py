@@ -144,31 +144,21 @@ class PipelineController:
 
     Depth moves at most one step per :meth:`update` (hysteresis: the
     reservoir percentiles drift slowly, and oscillating depth would thrash
-    ring occupancy).  ``fixed`` pins the depth and disables adaptation —
-    the ``ServeConfig.pipeline_depth`` override.
+    ring occupancy).
     """
 
     #: compute observations required before the controller trusts percentiles
     MIN_SAMPLES = 16
 
-    def __init__(self, stages: Any = None, fixed: int = 0) -> None:
-        if fixed and not MIN_PIPELINE_DEPTH <= fixed <= MAX_PIPELINE_DEPTH:
-            raise ValueError(
-                f"fixed pipeline depth must be in "
-                f"[{MIN_PIPELINE_DEPTH}, {MAX_PIPELINE_DEPTH}], got {fixed}")
+    def __init__(self, stages: Any = None) -> None:
         self._stages = stages
-        self._fixed = int(fixed)
-        self.depth = self._fixed or DEFAULT_PIPELINE_DEPTH
+        self.depth = DEFAULT_PIPELINE_DEPTH
         self.raises = 0
         self.lowers = 0
 
-    @property
-    def fixed(self) -> bool:
-        return bool(self._fixed)
-
     def update(self) -> int:
         """Re-evaluate the target depth; returns the (possibly new) depth."""
-        if self._fixed or self._stages is None:
+        if self._stages is None:
             return self.depth
         compute = self._stages.stage("compute")
         if compute.count < self.MIN_SAMPLES:
@@ -190,8 +180,7 @@ class PipelineController:
         return self.depth
 
     def __repr__(self) -> str:
-        mode = "fixed" if self._fixed else "adaptive"
-        return f"PipelineController(depth={self.depth}, {mode})"
+        return f"PipelineController(depth={self.depth})"
 
 
 class Batch:

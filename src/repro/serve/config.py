@@ -14,12 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict
 
-#: Start methods the pool accepts.  ``spawn`` is the default everywhere: it
-#: never inherits the parent's threads (the parent may be running predictor
-#: worker threads or HTTP handler threads, which make ``fork`` unsafe), at the
-#: cost of re-importing the library in each worker (~0.5 s).
-START_METHODS = ("spawn", "fork", "forkserver")
-
 #: Tensor transports between the pool and its workers.  ``shm`` moves tensor
 #: bytes through per-worker shared-memory rings (zero-copy on the consumer
 #: side; pickle only for small control frames) and is the default; ``pipe``
@@ -35,10 +29,13 @@ class ServeConfig:
     Parameters
     ----------
     workers : int
-        Worker processes in the pool.  Each runs its own compiled model and
-        micro-batching predictor, so throughput scales with cores.
-    max_batch_size, max_wait :
-        Forwarded to each worker's :class:`~repro.inference.BatchedPredictor`.
+        Worker processes in the pool, always started with ``spawn`` (a
+        worker never inherits the parent's predictor or HTTP threads).
+        Each compiles its own copy of the model, so throughput scales with
+        cores.
+    max_batch_size : int
+        Largest batch the pool's continuous batcher cuts from its backlog
+        for one worker.  The batcher never waits for a batch to fill.
     queue_depth : int
         Bound of each worker's request queue.  A full queue is backpressure:
         the dispatcher refuses the request instead of buffering unboundedly.
@@ -53,8 +50,6 @@ class ServeConfig:
     request_timeout, startup_timeout, drain_timeout : float
         Seconds to wait for (respectively) one prediction, all workers to
         report ready, and in-flight requests to finish during shutdown.
-    start_method : str
-        ``multiprocessing`` start method; see :data:`START_METHODS`.
     host, port :
         HTTP bind address.  ``port=0`` asks the OS for a free port (the bound
         port is available as ``ServingServer.port``).
@@ -79,10 +74,6 @@ class ServeConfig:
         ``Experiment.predictor(max_batch_size=1)`` under any load.  ``True``
         fuses the whole batch into one forward for maximum throughput, at
         the cost of BLAS float-associativity drift between batch sizes.
-    shm_slots, shm_slot_bytes : int
-        Geometry of each worker's shared-memory rings.  ``0`` (default)
-        sizes them automatically: enough slots for the dispatch pipeline,
-        slots big enough for one ``max_batch_size`` input batch.
     secure : bool
         Serve int64 fixed-point inference under hybrid-protocol semantics
         (:mod:`repro.ppml.runtime`) instead of the float path.  Workers
@@ -112,13 +103,7 @@ class ServeConfig:
         = all the Beaver triples and garbled labels one request consumes).
         ``0`` (default) auto-sizes to cover the dispatch pipeline at its
         maximum adaptive depth:
-        ``workers * effective_max_pipeline_depth * max_batch_size``.
-    pipeline_depth : int
-        Batches in flight per worker.  ``0`` (default) lets each worker's
-        :class:`~repro.serve.batching.PipelineController` adapt the depth
-        within [:data:`~repro.serve.batching.MIN_PIPELINE_DEPTH`,
-        :data:`~repro.serve.batching.MAX_PIPELINE_DEPTH`] from measured
-        stage percentiles; a non-zero value pins it.
+        ``workers * MAX_PIPELINE_DEPTH * max_batch_size``.
     producer_workers : int
         Offline-phase producer *processes* per triple pool (secure serving
         only).  ``0`` (default) keeps the in-process producer thread —
@@ -128,14 +113,12 @@ class ServeConfig:
 
     workers: int = 2
     max_batch_size: int = 8
-    max_wait: float = 0.002
     queue_depth: int = 32
     watermark: int = 0
     max_retries: int = 1
     request_timeout: float = 30.0
     startup_timeout: float = 60.0
     drain_timeout: float = 30.0
-    start_method: str = "spawn"
     host: str = "127.0.0.1"
     port: int = 8100
     cache_size: int = 256
@@ -143,15 +126,12 @@ class ServeConfig:
     transport: str = "shm"
     latency_budget_ms: float = 0.0
     fused_batching: bool = False
-    shm_slots: int = 0
-    shm_slot_bytes: int = 0
     secure: bool = False
     protocol: str = ""
     frac_bits: int = 12
     truncation: str = "nearest"
     strategy: str = ""
     triple_pool_depth: int = 0
-    pipeline_depth: int = 0
     producer_workers: int = 0
 
     def __post_init__(self) -> None:
@@ -162,8 +142,6 @@ class ServeConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         for name in ("request_timeout", "startup_timeout", "drain_timeout"):
@@ -175,19 +153,12 @@ class ServeConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.start_method not in START_METHODS:
-            raise ValueError(
-                f"start_method must be one of {START_METHODS}, got '{self.start_method}'")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {TRANSPORTS}, got '{self.transport}'")
         if self.latency_budget_ms < 0:
             raise ValueError(f"latency_budget_ms must be >= 0 (0 = disabled), "
                              f"got {self.latency_budget_ms}")
-        for name in ("shm_slots", "shm_slot_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (0 = auto), "
-                                 f"got {getattr(self, name)}")
         from ..backends import backend_names  # lazy: keep config import-light
 
         if self.backend not in backend_names():
@@ -218,17 +189,6 @@ class ServeConfig:
         if self.triple_pool_depth < 0:
             raise ValueError(f"triple_pool_depth must be >= 0 (0 = auto), "
                              f"got {self.triple_pool_depth}")
-        from .batching import MAX_PIPELINE_DEPTH, MIN_PIPELINE_DEPTH  # lazy
-
-        if self.pipeline_depth and not (
-                MIN_PIPELINE_DEPTH <= self.pipeline_depth <= MAX_PIPELINE_DEPTH):
-            raise ValueError(
-                f"pipeline_depth must be 0 (adaptive) or in "
-                f"{MIN_PIPELINE_DEPTH}..{MAX_PIPELINE_DEPTH}, "
-                f"got {self.pipeline_depth}")
-        if self.pipeline_depth < 0:
-            raise ValueError(f"pipeline_depth must be >= 0 (0 = adaptive), "
-                             f"got {self.pipeline_depth}")
         if self.producer_workers < 0:
             raise ValueError(f"producer_workers must be >= 0 (0 = thread), "
                              f"got {self.producer_workers}")
@@ -244,24 +204,15 @@ class ServeConfig:
         return self.watermark if self.watermark > 0 else self.workers * self.queue_depth
 
     @property
-    def effective_max_pipeline_depth(self) -> int:
-        """The deepest per-worker pipeline this deployment can reach — the
-        pinned ``pipeline_depth`` when set, else the adaptive ceiling.  Ring
-        and triple-pool sizing must cover this, not the default depth."""
-        if self.pipeline_depth > 0:
-            return self.pipeline_depth
-        from .batching import MAX_PIPELINE_DEPTH  # lazy: avoid an import cycle
-
-        return MAX_PIPELINE_DEPTH
-
-    @property
     def effective_triple_pool_depth(self) -> int:
         """The offline pool depth actually targeted (resolves ``0`` = auto to
-        one request quantum per slot of the dispatch pipeline at its maximum
-        reachable depth)."""
+        one request quantum per slot of the dispatch pipeline at the adaptive
+        controller's ceiling, not its starting depth)."""
         if self.triple_pool_depth > 0:
             return self.triple_pool_depth
-        return self.workers * self.effective_max_pipeline_depth * self.max_batch_size
+        from .batching import MAX_PIPELINE_DEPTH  # lazy: avoid an import cycle
+
+        return self.workers * MAX_PIPELINE_DEPTH * self.max_batch_size
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)

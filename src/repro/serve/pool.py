@@ -216,8 +216,8 @@ class _WorkerHandle:
 #: corrupt weights) must not become an infinite spawn storm.
 MAX_EARLY_CRASHES = 3
 
-#: auto ring geometry: slot count comes from :func:`ring_slots` (sized for
-#: the *maximum* adaptive pipeline depth, or a dispatch burst could stall on
+#: ring geometry: slot count comes from :func:`ring_slots` (sized for the
+#: *maximum* adaptive pipeline depth, or a dispatch burst could stall on
 #: RingFull exactly when the controller ramps up), and slots of 1 MiB —
 #: comfortably a max_batch_size batch of any smoke-scale input; bigger
 #: tensors transparently fall back to the inline (pipe) path.
@@ -322,7 +322,7 @@ class WorkerPool:
             self._accepting = True
             import multiprocessing
 
-            self._ctx = multiprocessing.get_context(self.config.start_method)
+            self._ctx = multiprocessing.get_context("spawn")
             for worker_id in range(self.config.workers):
                 self._workers[worker_id] = self._spawn(
                     worker_id, generation=0, rings=self._ensure_rings(worker_id))
@@ -362,8 +362,7 @@ class WorkerPool:
         measured-vs-static equality check.
         """
         predictor = build_serving_predictor(
-            self.spec_dict, self.state, max_batch_size=1, max_wait=0.0,
-            secure=self.config.to_dict())
+            self.spec_dict, self.state, secure=self.config.to_dict())
         try:
             predictor.predict(np.zeros(self._input_shape, dtype=np.float32))
             self.warmup_trace = predictor.last_trace
@@ -382,11 +381,9 @@ class WorkerPool:
             return None
         rings = self._rings.get(worker_id)
         if rings is None:
-            slots = self.config.shm_slots or ring_slots(
-                self.config.effective_max_pipeline_depth)
-            slot_bytes = self.config.shm_slot_bytes or _AUTO_SLOT_BYTES
             try:
-                rings = self._rings[worker_id] = WorkerRings(slots, slot_bytes)
+                rings = self._rings[worker_id] = WorkerRings(ring_slots(),
+                                                             _AUTO_SLOT_BYTES)
             except Exception:
                 return None
         return rings
@@ -412,8 +409,7 @@ class WorkerPool:
         process.start()
         return _WorkerHandle(
             worker_id, generation, process, request_queue, response_queue,
-            pipeline=PipelineController(self.stage_metrics,
-                                        fixed=self.config.pipeline_depth))
+            pipeline=PipelineController(self.stage_metrics))
 
     def stop_accepting(self) -> None:
         """Refuse new submissions while letting in-flight work finish."""
@@ -537,10 +533,6 @@ class WorkerPool:
             frac_bits=base[1] if frac_bits is None else int(frac_bits),
             truncation=base[2] if truncation is None else str(truncation))
         return (name, fmt.frac_bits, fmt.truncation)
-
-    def submit_sleep(self, seconds: float) -> PoolFuture:
-        """Occupy one worker for ``seconds`` (drain/failure testing, warm-up)."""
-        return self._submit("sleep", float(seconds))
 
     def predict(self, sample: np.ndarray, timeout: Optional[float] = None):
         """Blocking convenience wrapper around :meth:`submit`."""
@@ -1083,7 +1075,6 @@ class WorkerPool:
                     "rings": ring_stats or None,
                 },
                 "pipeline": {
-                    "configured_depth": self.config.pipeline_depth,
                     "min_depth": MIN_PIPELINE_DEPTH,
                     "max_depth": MAX_PIPELINE_DEPTH,
                     "pipeline_depth_current": {

@@ -14,7 +14,7 @@ either inline or through the worker's shared-memory rings):
 * parent → worker::
 
       ("batch", batch_id, [request_ids], payload[, meta])   # the data plane
-      ("sleep", request_id, seconds)                # drain tests, warm-up
+      ("sleep", request_id, seconds)                # parks the worker (tests)
       None                                          # drain and exit
 
   where ``payload`` is ``("shm", ShmFrame)`` — the stacked float32 batch is
@@ -65,7 +65,6 @@ def execute_request(kind: str, payload: Any) -> Any:
 
 
 def build_serving_predictor(spec_dict: Dict[str, Any], state: Dict[str, np.ndarray],
-                            max_batch_size: int, max_wait: float,
                             backend: str = "numpy",
                             secure: Optional[Dict[str, Any]] = None):
     """Rebuild the model from its IPC form and wrap it for serving.
@@ -73,6 +72,8 @@ def build_serving_predictor(spec_dict: Dict[str, Any], state: Dict[str, np.ndarr
     Split out of :func:`worker_main` so tests can exercise the
     deserialize → build → load → compile path in-process.  ``backend`` is the
     compute backend each worker compiles with (a :mod:`repro.backends` name).
+    The float path returns a batch-of-1 :class:`~repro.inference.BatchedPredictor`;
+    the pool does the batching, and the worker only runs its ``compiled`` model.
 
     When ``secure`` is given (a dict with ``protocol`` / ``frac_bits`` /
     ``truncation`` / ``strategy``, i.e. the secure fields of
@@ -112,8 +113,8 @@ def build_serving_predictor(spec_dict: Dict[str, Any], state: Dict[str, np.ndarr
             frac_bits=int(secure.get("frac_bits", 12)),
             truncation=str(secure.get("truncation", "nearest")),
             seed=spec.seed)
-    return BatchedPredictor(model, max_batch_size=max_batch_size,
-                            max_wait=max_wait, backend=backend)
+    return BatchedPredictor(model, max_batch_size=1, max_wait=0.0,
+                            backend=backend)
 
 
 def run_batch(compiled, batch: np.ndarray,
@@ -382,8 +383,6 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
 
     predictor = build_serving_predictor(
         spec_dict, state,
-        max_batch_size=config_dict.get("max_batch_size", 8),
-        max_wait=config_dict.get("max_wait", 0.002),
         backend=config_dict.get("backend", "numpy"),
         secure=config_dict if config_dict.get("secure") else None)
     fused = bool(config_dict.get("fused_batching", False))

@@ -122,16 +122,43 @@ class TestRegistry:
 # The zoo property: numpy == threaded, bit for bit, on every model
 # --------------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("name", MODELS.names())
-def test_threaded_matches_numpy_bit_for_bit_on_every_zoo_model(name):
-    model, shape = zoo_model(name)
+def genome_model(seed: int, hybrid_bp: bool):
+    """A seeded ``repro.explore`` architecture at the zoo models' scale."""
+    from repro.explore import SearchSpace
+
+    seed_everything(0)
+    genome = SearchSpace().sample(np.random.default_rng(seed))
+    model = genome.build(num_classes=4, width_multiplier=0.125, hybrid_bp=hybrid_bp)
+    model.eval()
+    return model, DEFAULT_SHAPE
+
+
+#: every zoo model, plus 8 seeded generated architectures with and without
+#: the symbolic-backward (``hybrid_bp``) layers.
+_EQUALITY_CASES = (
+    [pytest.param("zoo", name, id=name) for name in MODELS.names()]
+    + [pytest.param("genome", (seed, hybrid_bp),
+                    id=f"genome{seed}" + ("-hybrid_bp" if hybrid_bp else ""))
+       for seed in range(8) for hybrid_bp in (False, True)])
+
+
+@pytest.mark.parametrize("source, key", _EQUALITY_CASES)
+def test_threaded_matches_numpy_bit_for_bit_on_every_zoo_model(source, key):
+    model, shape = zoo_model(key) if source == "zoo" else genome_model(*key)
     x = probe_input(shape)
     reference = compile_model(model, backend="numpy")(x)
     # Force a real thread pool even on a 1-core runner: exactness must not
     # depend on the split count the box happens to pick.
     threaded = compile_model(model, backend=ThreadedBackend(num_threads=4))(x)
-    assert np.isfinite(reference).all(), f"{name} overflowed — weak probe input"
+    assert np.isfinite(reference).all(), f"{key} overflowed — weak probe input"
     np.testing.assert_array_equal(threaded, reference)
+    if source == "genome":
+        # Generated architectures are plain conv/BN/activation/pool/linear
+        # stacks, and those compile rules reproduce eager numerics exactly
+        # (the zoo's residual blocks do not, so the zoo stops at numpy).
+        with no_grad():
+            eager = model(Tensor(x)).data
+        np.testing.assert_array_equal(reference, eager)
 
 
 @pytest.mark.parametrize("name", MODELS.names())

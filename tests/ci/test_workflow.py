@@ -143,6 +143,16 @@ def test_bench_gate_runs_the_trajectory_check_after_the_benches(workflow):
             f"{bench} must run before the trajectory check")
 
 
+def test_bench_gate_runs_the_repo_benchmark_checks(workflow):
+    """The repo benchmark's in-process workload exits 1 when any of its
+    checks fails (compiled == eager at batch 1 and 32, secure counts ==
+    static cost), so running it makes those checks a CI gate."""
+    runs = [step.get("run", "") for job, step in all_steps(workflow)
+            if job == "bench-gate"]
+    assert ("PYTHONPATH=src python perfbench/run.py --workload infer_offline --seconds 3"
+            in runs)
+
+
 def test_bench_gate_uploads_the_trajectory_history(workflow):
     """The append-only ``trajectory.jsonl`` must ship with the artifact —
     it is the history the regression bands are derived from."""
@@ -157,6 +167,9 @@ def test_lint_job_compiles_and_ruffs(workflow):
                     for job, step in all_steps(workflow) if job == "lint")
     assert "compileall" in runs
     assert "ruff check" in runs
+    # Warnings are errors, so an invalid escape sequence fails the job.
+    assert ("python -W error -m compileall -q src benchmarks tests perfbench examples"
+            in runs)
     # The ruff config the job refers to must actually exist.
     assert "[tool.ruff" in (REPO_ROOT / "pyproject.toml").read_text()
 

@@ -35,3 +35,17 @@ class SmokeSetup:
 @pytest.fixture(scope="session")
 def smoke():
     return SmokeSetup()
+
+
+def _park_worker(pool, seconds: float):
+    """Occupy one worker of ``pool`` for ``seconds`` with the worker's
+    ``sleep`` frame, which bypasses the batcher to pin a specific worker.
+    Returns the request's future (resolves to ``None``)."""
+    return pool._submit("sleep", float(seconds))
+
+
+@pytest.fixture
+def park_worker():
+    """``park_worker(pool, seconds)``: real in-flight work for drain,
+    shedding and crash tests."""
+    return _park_worker

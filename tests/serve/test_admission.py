@@ -132,7 +132,7 @@ class TestAppLevel429:
 # --------------------------------------------------------------------------- #
 
 class TestAdmissionOverHTTP:
-    def test_429_with_retry_after_header_and_green_healthz(self, smoke):
+    def test_429_with_retry_after_header_and_green_healthz(self, smoke, park_worker):
         # A 0.01 ms budget rejects the moment anything is queued and the EWMA
         # has one observation — deterministic without timing games.  Cache off
         # so every request reaches the pool.
@@ -154,7 +154,7 @@ class TestAdmissionOverHTTP:
 
             status, _, _ = post()                # seeds the service-time EWMA
             assert status == 200
-            blocker = server.pool.submit_sleep(1.0)   # one queued request
+            blocker = park_worker(server.pool, 1.0)   # one queued request
             status, headers, body = post()
             assert status == 429
             assert int(headers["Retry-After"]) >= 1

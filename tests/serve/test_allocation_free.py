@@ -111,7 +111,7 @@ class TestInRingAssemblyEquivalence:
 class TestWarmWorkerAllocationFree:
     def test_steady_state_batch_touches_no_heap(self, smoke):
         predictor = build_serving_predictor(
-            smoke.spec.to_dict(), smoke.state, max_batch_size=8, max_wait=0.0)
+            smoke.spec.to_dict(), smoke.state)
         compiled = predictor.compiled
         responses = queue.SimpleQueue()
         requests = np.stack(smoke.samples[:4])
@@ -172,11 +172,11 @@ class TestPoolAssembly:
             assert transport["assembly_fallbacks"] == 0
             assert transport["inline_dispatches"] == 0
 
-    def test_oversized_batch_falls_back_inline_and_is_counted(self, smoke):
+    def test_oversized_batch_falls_back_inline_and_is_counted(self, smoke, monkeypatch):
         # Slots too small for even one sample: every dispatch must fall back
         # to the inline path, be counted, and still answer bit-identically.
-        config = ServeConfig(workers=1, max_batch_size=2, shm_slots=4,
-                             shm_slot_bytes=64, startup_timeout=120.0)
+        monkeypatch.setattr("repro.serve.pool._AUTO_SLOT_BYTES", 64)
+        config = ServeConfig(workers=1, max_batch_size=2, startup_timeout=120.0)
         with WorkerPool(smoke.spec, state=smoke.state, config=config) as pool:
             output = pool.predict(smoke.samples[0], timeout=120.0)
             assert np.array_equal(output, smoke.expected[0])

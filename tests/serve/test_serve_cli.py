@@ -47,6 +47,13 @@ class TestServeSelfTest:
         assert exit_code == 2
         assert err.startswith("error:") and "workers" in err
 
+    @pytest.mark.parametrize("flag", ["--max-wait", "--pipeline-depth"])
+    def test_retired_serve_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "smoke", flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_serve_rejects_zero_self_test_requests(self, capsys):
         exit_code = main(["serve", "smoke", "--self-test", "0"])
         err = capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.serve import ServeConfig
@@ -19,7 +21,6 @@ class TestServeConfig:
     @pytest.mark.parametrize("field, value", [
         ("workers", 0),
         ("max_batch_size", 0),
-        ("max_wait", -0.1),
         ("queue_depth", 0),
         ("watermark", -1),
         ("max_retries", -1),
@@ -27,7 +28,6 @@ class TestServeConfig:
         ("request_timeout", 0),
         ("startup_timeout", -1.0),
         ("drain_timeout", 0),
-        ("start_method", "thread"),
     ])
     def test_invalid_values_raise(self, field, value):
         with pytest.raises(ValueError):
@@ -41,6 +41,16 @@ class TestServeConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown ServeConfig field"):
             ServeConfig.from_dict({"workres": 2})
+
+    def test_retired_knobs_are_unknown_fields(self):
+        # The pool never waits to fill a batch, always spawns, sizes its
+        # rings from ring_slots() and adapts its depth: none of these is a
+        # knob any more, and an old config naming one fails loudly.
+        for field in ("max_wait", "start_method", "shm_slots", "shm_slot_bytes",
+                      "pipeline_depth"):
+            with pytest.raises(ValueError, match="unknown ServeConfig field"):
+                ServeConfig.from_dict({field: 1})
+        assert len(dataclasses.fields(ServeConfig)) == 22
 
     def test_with_returns_modified_copy(self):
         config = ServeConfig()
@@ -63,6 +73,7 @@ class TestSecureConfig:
         ("protocol", "quantum"),
         ("strategy", "prune"),
         ("triple_pool_depth", -1),
+        ("producer_workers", -1),
     ])
     def test_invalid_secure_values_raise(self, field, value):
         with pytest.raises(ValueError):
@@ -80,23 +91,8 @@ class TestSecureConfig:
         # ramps up.
         config = ServeConfig(secure=True, workers=3, max_batch_size=4)
         assert config.effective_triple_pool_depth == 3 * MAX_PIPELINE_DEPTH * 4
-        pinned = ServeConfig(secure=True, workers=3, max_batch_size=4,
-                             pipeline_depth=2)
-        assert pinned.effective_triple_pool_depth == 3 * 2 * 4
         assert ServeConfig(secure=True,
                            triple_pool_depth=7).effective_triple_pool_depth == 7
-
-    def test_pipeline_depth_bounds(self):
-        from repro.serve import MAX_PIPELINE_DEPTH
-
-        assert ServeConfig(pipeline_depth=0).effective_max_pipeline_depth \
-            == MAX_PIPELINE_DEPTH
-        assert ServeConfig(pipeline_depth=1).effective_max_pipeline_depth == 1
-        for bad in (-1, MAX_PIPELINE_DEPTH + 1):
-            with pytest.raises(ValueError):
-                ServeConfig(pipeline_depth=bad)
-        with pytest.raises(ValueError):
-            ServeConfig(producer_workers=-1)
 
     def test_secure_dict_round_trip(self):
         config = ServeConfig(secure=True, protocol="gazelle", frac_bits=10,

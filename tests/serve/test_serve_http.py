@@ -243,8 +243,8 @@ class TestServingServerIntegration:
 
     # Keep this one LAST in the class: it flips the module-scoped server into
     # its drain state, after which /predict stops accepting work.
-    def test_drain_flips_healthz_and_sheds_predicts(self, server, smoke):
-        blocker = server.pool.submit_sleep(0.5)      # real in-flight work
+    def test_drain_flips_healthz_and_sheds_predicts(self, server, smoke, park_worker):
+        blocker = park_worker(server.pool, 0.5)      # real in-flight work
         server.drain(wait=False)
         status, body = http_get(f"{server.url}/healthz")
         assert status == 503 and body["status"] == "draining"

@@ -102,19 +102,19 @@ class TestPoolFailureModes:
             # retried may be 0 in the rare case the answer raced the kill.
             assert stats["retried"] in (0, 1)
 
-    def test_crash_without_retries_surfaces_worker_crashed(self, smoke):
+    def test_crash_without_retries_surfaces_worker_crashed(self, smoke, park_worker):
         config = ServeConfig(workers=1, max_retries=0, startup_timeout=120.0)
         with WorkerPool(smoke.spec, state=smoke.state, config=config) as pool:
-            future = pool.submit_sleep(30.0)     # parked on the worker
+            future = park_worker(pool, 30.0)     # parked on the worker
             pool._workers[0].process.kill()
             with pytest.raises(WorkerCrashed, match="died with this request"):
                 future.result(timeout=60.0)
             assert pool.stats()["failed"] >= 1
 
-    def test_saturated_pool_sheds_load_at_the_watermark(self, smoke):
+    def test_saturated_pool_sheds_load_at_the_watermark(self, smoke, park_worker):
         config = ServeConfig(workers=1, watermark=2, startup_timeout=120.0)
         with WorkerPool(smoke.spec, state=smoke.state, config=config) as pool:
-            blocker = pool.submit_sleep(1.0)         # occupies the lone worker
+            blocker = park_worker(pool, 1.0)         # occupies the lone worker
             queued = pool.submit(smoke.samples[0])   # waits behind it
             with pytest.raises(PoolSaturated, match="watermark"):
                 pool.submit(smoke.samples[1])        # third: over the watermark

@@ -12,7 +12,7 @@ class TestBuildServingPredictor:
     def test_rebuilt_worker_matches_parent_bit_for_bit(self, smoke):
         """Spec dict + state dict over "IPC" → identical predictions."""
         predictor = build_serving_predictor(
-            smoke.spec.to_dict(), dict(smoke.state), max_batch_size=1, max_wait=0.0)
+            smoke.spec.to_dict(), dict(smoke.state))
         try:
             for sample, expected in zip(smoke.samples, smoke.expected):
                 out = predictor.predict(sample, timeout=30.0)
@@ -22,7 +22,7 @@ class TestBuildServingPredictor:
 
     def test_without_state_the_worker_serves_the_seeded_build(self, smoke):
         predictor = build_serving_predictor(
-            smoke.spec.to_dict(), {}, max_batch_size=1, max_wait=0.0)
+            smoke.spec.to_dict(), {})
         try:
             out = predictor.predict(smoke.samples[0], timeout=30.0)
             # The smoke spec builds deterministically from its seed, and the

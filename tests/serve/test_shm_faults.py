@@ -29,7 +29,8 @@ def wait_until(predicate, timeout: float = 30.0, interval: float = 0.05) -> bool
 
 
 class TestKillWithLeasedSlots:
-    def test_sigkill_mid_batch_reclaims_slots_and_retries_requests(self, smoke):
+    def test_sigkill_mid_batch_reclaims_slots_and_retries_requests(self, smoke,
+                                                                  park_worker):
         config = ServeConfig(workers=1, transport="shm", max_retries=1,
                              startup_timeout=120.0)
         with WorkerPool(smoke.spec, state=smoke.state, config=config) as pool:
@@ -37,7 +38,7 @@ class TestKillWithLeasedSlots:
             # Park the worker on a sleep, then pile a batch behind it: the
             # batch frame is written into a leased request-ring slot that the
             # sleeping worker will never release on its own.
-            blocker = pool.submit_sleep(1.0)
+            blocker = park_worker(pool, 1.0)
             futures = [pool.submit(sample) for sample in smoke.samples[:4]]
             assert wait_until(lambda: rings.request.leased_slots()), \
                 "batch frame should be parked in a leased slot"
