@@ -2,10 +2,13 @@
 
 The 2-D convolution is implemented with the classic im2col lowering: patches
 are gathered into a matrix and the convolution becomes a batched matrix
-multiplication, which keeps all heavy lifting inside BLAS.  Grouped
-convolution is supported so that MobileNet-style depthwise convolutions
-(``groups == in_channels``) — one of the three backbone families evaluated in
-the paper's Table 3 — work out of the box.
+multiplication, which keeps all heavy lifting inside BLAS.  That projection
+and its two gradients are methods of the reference compute backend
+(:func:`reference_backend`); compiled inference projects through the same
+method, so an eager convolution and its compiled step produce the same bits.
+Grouped convolution is supported so that MobileNet-style depthwise
+convolutions (``groups == in_channels``) — one of the three backbone families
+evaluated in the paper's Table 3 — work out of the box.
 """
 
 from __future__ import annotations
@@ -82,6 +85,42 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int, kw: in
     return padded
 
 
+_REFERENCE = None
+#: ``conv_project`` probe verdicts of eager autodiff, keyed by operand shapes.
+_PROBE_CACHE: dict = {}
+
+
+def reference_backend():
+    """The process-wide reference :class:`~repro.backends.Backend`.
+
+    Eager autodiff runs every grouped-conv projection and both of its
+    gradients through this one instance, so the training path and the
+    compiled inference path share one kernel set.
+    """
+    global _REFERENCE
+    if _REFERENCE is None:
+        from ...backends.base import Backend  # lazy: the backends import this module
+
+        _REFERENCE = Backend()
+    return _REFERENCE
+
+
+def grouped_cols(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
+                 padding: Tuple[int, int], groups: int) -> np.ndarray:
+    """``im2col`` of ``x`` viewed per group: ``(N, G, C/G·kh·kw, OH·OW)``."""
+    cols = im2col(x, kh, kw, stride, padding)
+    n, c, _, _, oh, ow = cols.shape
+    return cols.reshape(n, groups, (c // groups) * kh * kw, oh * ow)
+
+
+def project(cols: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """``(G, Fg, K)`` weights applied to grouped ``cols``, written into a fresh
+    C-contiguous ``(N, G, Fg, OH·OW)`` array by the reference backend."""
+    n, groups, _, length = cols.shape
+    out = np.empty((n, groups, wmat.shape[1], length), dtype=np.result_type(wmat, cols))
+    return reference_backend().conv_project(cols, wmat, out, _PROBE_CACHE)
+
+
 class Conv2d(Function):
     """Grouped 2-D convolution ``out = conv(x, w) + b``.
 
@@ -102,21 +141,15 @@ class Conv2d(Function):
                 f"Conv2d channel mismatch: input has {c} channels but weight "
                 f"expects {c_g * groups} (groups={groups})"
             )
-        oh = conv_output_size(h, kh, stride[0], padding[0])
-        ow = conv_output_size(wd, kw, stride[1], padding[1])
-
-        cols = im2col(x, kh, kw, stride, padding)          # (N, C, kh, kw, OH, OW)
-        cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
-        wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-
-        # (N, G, Fg, OH*OW) = (G, Fg, K) @ (N, G, K, OH*OW)
-        out = np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True)
-        out = out.reshape(n, f, oh, ow)
+        cols = grouped_cols(x, kh, kw, stride, padding, groups)
+        out = project(cols, w.reshape(groups, f // groups, c_g * kh * kw))
+        out = out.reshape(n, f, conv_output_size(h, kh, stride[0], padding[0]),
+                          conv_output_size(wd, kw, stride[1], padding[1]))
         if b is not None:
             out += b.reshape(1, f, 1, 1)
 
         ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.x_shape, ctx.w_shape = x.shape, w.shape
+        ctx.x_shape = x.shape
         ctx.has_bias = b is not None
         ctx.save_for_backward(x, w)
         return out
@@ -125,27 +158,18 @@ class Conv2d(Function):
     def backward(ctx: Context, grad: np.ndarray):
         x, w = ctx.saved_tensors
         stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        n, c, h, wd = ctx.x_shape
-        f, c_g, kh, kw = ctx.w_shape
+        be = reference_backend()
+        f, c_g, kh, kw = w.shape
         grad = np.ascontiguousarray(grad)
-        oh, ow = grad.shape[2], grad.shape[3]
-        grad_g = grad.reshape(n, groups, f // groups, oh * ow)
+        grad_g = grad.reshape(grad.shape[0], groups, f // groups, -1)
 
         gx = gw = gb = None
-        wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-
         if ctx.needs_input_grad[0]:
-            # dX = W^T @ dOut, scattered back to image space.
-            cols_grad = np.einsum("gfk,ngfo->ngko", wmat, grad_g, optimize=True)
-            cols_grad = cols_grad.reshape(n, c, kh, kw, oh, ow)
-            gx = col2im(cols_grad, ctx.x_shape, kh, kw, stride, padding)
-
+            wmat = w.reshape(groups, f // groups, c_g * kh * kw)
+            gx = be.conv_input_grad(wmat, grad_g, ctx.x_shape, kh, kw, stride, padding)
         if ctx.needs_input_grad[1]:
-            cols = im2col(x, kh, kw, stride, padding)
-            cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
-            gw = np.einsum("ngfo,ngko->gfk", grad_g, cols, optimize=True)
-            gw = gw.reshape(f, c_g, kh, kw)
-
+            cols = grouped_cols(x, kh, kw, stride, padding, groups)
+            gw = be.conv_weight_grad(grad_g, cols).reshape(w.shape)
         if ctx.has_bias and len(ctx.needs_input_grad) > 2 and ctx.needs_input_grad[2]:
             gb = grad.sum(axis=(0, 2, 3))
 

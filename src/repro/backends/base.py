@@ -12,16 +12,19 @@ the same shape as neon's ``NervanaObject.be`` seam, where every layer talks
 to one shared backend object.
 
 The base class is itself the **reference implementation**: plain
-single-threaded NumPy, the exact arithmetic the eager forward performs.
-Subclasses override only the primitives they accelerate; anything they leave
-alone keeps reference numerics, so partial backends are always correct.
+single-threaded NumPy.  Eager autodiff calls one process-wide instance of it
+for the grouped-conv forward and both gradients
+(:func:`repro.autodiff.ops.conv.reference_backend`), so compiled and eager
+convolutions are the same kernel.  Subclasses override only the primitives
+they accelerate; anything they leave alone keeps reference numerics, so
+partial backends are always correct.
 
 Registered engines (see the sibling modules):
 
 ========== ====== ======================================================
 name       exact  description
 ========== ====== ======================================================
-numpy      yes    reference single-threaded NumPy (the eager numerics)
+numpy      yes    reference single-threaded NumPy (what eager autodiff calls)
 threaded   yes    multi-threaded cache-blocked GEMM/im2col, probe-verified
 int8       no     dynamic int8 quantized execution (fixed-point scales)
 ========== ====== ======================================================
@@ -96,15 +99,17 @@ class Backend:
                      cache: dict) -> np.ndarray:
         """One grouped-conv projection on pre-lowered columns.
 
-        The eager convolution computes ``einsum("gfk,ngko->ngfo")`` with
+        The reference route is ``einsum("gfk,ngko->ngfo")`` with
         ``optimize=True``; for most shapes NumPy resolves that to exactly one
         batched ``matmul``, which is ~6× cheaper to dispatch.  Whether the
         two routes are bit-identical depends only on the operand shapes (BLAS
         picks its reduction order from shapes and strides, never from
         values), so the first call per shape compares both routes on *dense
         random probes* of the same shapes and caches the verdict in
-        ``cache`` — matmul where it provably matches the training-path
-        numerics, eager einsum everywhere else.  Probes (rather than the live
+        ``cache`` — matmul where it provably matches the einsum route, einsum
+        everywhere else.  Eager convolutions call this method too (with one
+        process-wide cache), and the verdict depends only on the shapes, so
+        both paths take the same route.  Probes (rather than the live
         operands) keep a degenerate first input — an all-zero image,
         untrained zero weights — from locking in a trivially-equal
         comparison.
@@ -122,6 +127,30 @@ class Backend:
         if use_matmul:
             return np.matmul(wmat, cols, out=out)
         return np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True, out=out)
+
+    def conv_input_grad(self, wmat: np.ndarray, grad: np.ndarray, x_shape,
+                        kh: int, kw: int, stride: Tuple[int, int],
+                        padding: Tuple[int, int]) -> np.ndarray:
+        """Input gradient of a grouped-conv projection (the training path).
+
+        ``grad`` is the ``(N, G, Fg, OH*OW)`` output gradient; ``Wᵀ @ dOut``
+        per group gives column gradients, which ``col2im`` scatters back to
+        an ``x_shape`` image, accumulating overlapping windows.
+        """
+        n, c = x_shape[0], x_shape[1]
+        oh = conv_output_size(x_shape[2], kh, stride[0], padding[0])
+        ow = conv_output_size(x_shape[3], kw, stride[1], padding[1])
+        cols_grad = np.einsum("gfk,ngfo->ngko", wmat, grad, optimize=True)
+        cols_grad = cols_grad.reshape(n, c, kh, kw, oh, ow)
+        return conv_ops.col2im(cols_grad, x_shape, kh, kw, stride, padding)
+
+    def conv_weight_grad(self, grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``(G, Fg, K)`` weight gradient of a grouped-conv projection.
+
+        ``grad`` is the ``(N, G, Fg, OH*OW)`` output gradient and ``cols`` the
+        ``(N, G, K, OH*OW)`` lowered input the forward projected.
+        """
+        return np.einsum("ngfo,ngko->gfk", grad, cols, optimize=True)
 
     # ------------------------------------------------------ quadratic combine
     def combine(self, neuron_type: str, responses: Sequence[np.ndarray],

@@ -81,12 +81,7 @@ from ..nn.layers.normalization import LayerNorm, _BatchNorm
 from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
+from ..quadratic.layers.hybrid import HybridQuadraticLinear
 from ..quadratic.layers.qconv import QuadraticConv2d
 from ..quadratic.layers.qlinear import QuadraticLinear
 from .buffers import BufferPool, LifetimePlanner
@@ -658,8 +653,7 @@ def _compile_global_avgpool(module: GlobalAvgPool2d, compiler: _Compiler) -> Lis
 _WEIGHT_ATTRS = {"a": "weight_a", "b": "weight_b", "c": "weight_c", "sq": "weight_sq"}
 
 
-@register_compile_rule(QuadraticConv2d, HybridQuadraticConv2d,
-                       HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
+@register_compile_rule(QuadraticConv2d)
 def _compile_quadratic_conv(module: Module, compiler: _Compiler) -> List[Step]:
     """Fused quadratic convolution: one im2col shared by every projection.
 

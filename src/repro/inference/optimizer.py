@@ -44,11 +44,6 @@ from ..nn.layers.conv import Conv2d
 from ..nn.layers.misc import Dropout, UpsampleNearest2d, ZeroPad2d
 from ..nn.layers.normalization import BatchNorm2d, _BatchNorm
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-)
 from ..quadratic.layers.qconv import QuadraticConv2d
 
 #: Optimization levels accepted by ``compile_model(optimize=...)``.
@@ -56,8 +51,7 @@ from ..quadratic.layers.qconv import QuadraticConv2d
 OPT_LEVELS = ("none", "default", "full")
 
 #: Layers with a ``padding`` attribute an upstream ZeroPad2d can fold into.
-_PADDABLE_CONVS = (Conv2d, QuadraticConv2d, HybridQuadraticConv2d,
-                   HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
+_PADDABLE_CONVS = (Conv2d, QuadraticConv2d)
 
 
 def normalize_level(optimize: Union[str, bool, None]) -> str:

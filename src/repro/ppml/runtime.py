@@ -73,12 +73,7 @@ from ..nn.layers.normalization import LayerNorm, _BatchNorm
 from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
+from ..quadratic.layers.hybrid import HybridQuadraticLinear
 from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
 from ..quadratic.layers.qlinear import QuadraticLinear
 from .fixedpoint import FixedPointFormat, decode, encode, truncate
@@ -841,8 +836,7 @@ def _combine_projections(required, proj: Dict[str, np.ndarray],
     return ctx.truncate(acc, out=acc), mults
 
 
-@register_secure_rule(QuadraticConv2d, HybridQuadraticConv2d,
-                      HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
+@register_secure_rule(QuadraticConv2d)
 def _secure_quadratic_conv(module: Module, compiler: _SecureCompiler) -> List[SecureStep]:
     """Fused fixed-point quadratic convolution (one shared im2col, like the
     float compiler) with per-projection truncation and one combine truncation."""

@@ -28,12 +28,7 @@ from ..nn.layers.conv import Conv2d
 from ..nn.layers.linear import Linear
 from ..nn.module import Module
 from ..nn.parameter import Parameter
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
+from ..quadratic.layers.hybrid import HybridQuadraticLinear
 from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
 from ..quadratic.layers.qlinear import QuadraticLinear
 
@@ -42,9 +37,8 @@ Shape = Tuple[int, ...]
 Calls = List[Tuple[Shape, Shape]]
 
 #: Composable quadratic convolutions: one projection per weight set plus an
-#: element-wise combine (``hybrid_bp=True`` builds the ``Hybrid*`` variants).
-QUADRATIC_CONVS = (QuadraticConv2d, HybridQuadraticConv2d,
-                   HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
+#: element-wise combine (the ``hybrid_bp=True`` ``Hybrid*`` classes subclass it).
+QUADRATIC_CONVS = (QuadraticConv2d,)
 QUADRATIC_LINEARS = (QuadraticLinear, HybridQuadraticLinear)
 
 

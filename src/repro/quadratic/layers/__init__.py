@@ -4,10 +4,8 @@ from .base import QuadraticLayerBase
 from .hybrid import (
     HybridQuadraticConv2d,
     HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dFanFunction,
     HybridQuadraticConv2dFunction,
     HybridQuadraticConv2dT4,
-    HybridQuadraticConv2dT4Function,
     HybridQuadraticLinear,
     HybridQuadraticLinearFunction,
 )
@@ -24,7 +22,5 @@ __all__ = [
     "HybridQuadraticConv2dFan",
     "HybridQuadraticLinear",
     "HybridQuadraticConv2dFunction",
-    "HybridQuadraticConv2dT4Function",
-    "HybridQuadraticConv2dFanFunction",
     "HybridQuadraticLinearFunction",
 ]

@@ -19,70 +19,33 @@ first-order responses are recomputed on demand during backward.  Everything
 outside quadratic layers (BatchNorm, pooling, losses) still uses ordinary AD —
 hence *hybrid*.
 
-``HybridQuadraticConv2d``/``HybridQuadraticLinear`` are drop-in replacements
-for the ``OURS``-type composed layers: same parameters, same forward values,
-same gradients (verified by the test suite), lower training memory
-(measured by ``bench_fig8_hybrid_bp``).
+One node, :class:`HybridQuadraticConv2dFunction`, serves every design of the
+form ``(Wa X) ∘ (Wb X)`` plus an optional ``Wc X`` or ``Wsq X²`` term: OURS,
+T4 and T2_4 (Fan et al.).  It lowers ``X`` once, shares the columns between
+all projections like the compiled kernel does, and runs the projection and
+both gradients on the reference backend that eager convolutions use.  The
+three layer classes are :class:`~repro.quadratic.layers.qconv.QuadraticConv2d`
+with only ``forward`` replaced: same parameters, and the forward values and
+gradients of the composed layer bit for bit (the T2_4 input gradient sums its
+terms in another order than autograd, so it agrees to rounding), at lower
+training memory (measured by ``bench_fig8_hybrid_bp``).
+``HybridQuadraticLinear`` is the dense ``OURS`` counterpart.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from ...autodiff.function import Context, Function
-from ...autodiff.ops.conv import col2im, conv_output_size, im2col
+from ...autodiff.ops.conv import conv_output_size, grouped_cols, project, reference_backend
 from ...autodiff.tensor import Tensor
 from ...nn import init
 from ...nn.module import Module
 from ...nn.parameter import Parameter
-
-IntOrPair = Union[int, Tuple[int, int]]
-
-
-def _pair(value: IntOrPair) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
-
-
-# --------------------------------------------------------------------------- #
-# Raw (ndarray-level) convolution helpers shared by forward and symbolic backward
-# --------------------------------------------------------------------------- #
-
-def _conv_forward_raw(x: np.ndarray, w: np.ndarray, stride, padding, groups: int) -> np.ndarray:
-    n, c, h, wd = x.shape
-    f, c_g, kh, kw = w.shape
-    oh = conv_output_size(h, kh, stride[0], padding[0])
-    ow = conv_output_size(wd, kw, stride[1], padding[1])
-    cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_g * kh * kw, oh * ow)
-    wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-    out = np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True)
-    return out.reshape(n, f, oh, ow)
-
-
-def _conv_input_grad_raw(grad: np.ndarray, w: np.ndarray, x_shape, stride, padding,
-                         groups: int) -> np.ndarray:
-    n = grad.shape[0]
-    f, c_g, kh, kw = w.shape
-    oh, ow = grad.shape[2], grad.shape[3]
-    wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-    grad_g = grad.reshape(n, groups, f // groups, oh * ow)
-    cols_grad = np.einsum("gfk,ngfo->ngko", wmat, grad_g, optimize=True)
-    cols_grad = cols_grad.reshape(n, x_shape[1], kh, kw, oh, ow)
-    return col2im(cols_grad, x_shape, kh, kw, stride, padding)
-
-
-def _conv_weight_grad_raw(x: np.ndarray, grad: np.ndarray, w_shape, stride, padding,
-                          groups: int) -> np.ndarray:
-    n = x.shape[0]
-    f, c_g, kh, kw = w_shape
-    oh, ow = grad.shape[2], grad.shape[3]
-    cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_g * kh * kw, oh * ow)
-    grad_g = grad.reshape(n, groups, f // groups, oh * ow)
-    gw = np.einsum("ngfo,ngko->gfk", grad_g, cols, optimize=True)
-    return gw.reshape(f, c_g, kh, kw)
+from ..functional import REQUIRED_RESPONSES
+from .qconv import IntOrPair, QuadraticConv2d
 
 
 # --------------------------------------------------------------------------- #
@@ -90,262 +53,117 @@ def _conv_weight_grad_raw(x: np.ndarray, grad: np.ndarray, w_shape, stride, padd
 # --------------------------------------------------------------------------- #
 
 class HybridQuadraticConv2dFunction(Function):
-    """``out = conv(x, Wa) ∘ conv(x, Wb) + conv(x, Wc) + bias`` in one node.
+    """``out = conv(x, Wa) ∘ conv(x, Wb) [+ conv(x, Wc) | + conv(x², Wsq)] + bias``.
 
-    Only ``x`` and the three weights are saved for backward; the first-order
-    responses are recomputed symbolically, mirroring Eq. 7 of the paper.
+    The weights follow ``REQUIRED_RESPONSES[neuron_type]`` (OURS, T4 or
+    T2_4) and may be followed by the bias.  Only ``x`` and the weights are
+    saved for backward; the first-order responses are recomputed
+    symbolically, mirroring Eq. 7 of the paper.
     """
 
     @staticmethod
-    def forward(ctx: Context, x: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                wc: np.ndarray, bias: Optional[np.ndarray] = None,
+    def forward(ctx: Context, x: np.ndarray, *params: np.ndarray, neuron_type: str = "OURS",
                 stride=(1, 1), padding=(0, 0), groups: int = 1) -> np.ndarray:
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        c = _conv_forward_raw(x, wc, stride, padding, groups)
-        out = a * b + c
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        # Deliberately *not* saving a, b, c — that is the whole point.
-        ctx.save_for_backward(x, wa, wb, wc)
+        required = REQUIRED_RESPONSES[neuron_type]
+        weights, bias = params[:len(required)], params[len(required):]
+        f, _, kh, kw = weights[0].shape
+        # One lowering shared by every projection (im2col(x²) == im2col(x)²).
+        sources = _sources(grouped_cols(x, kh, kw, stride, padding, groups), required)
+        responses = [project(src, _wmat(w, groups)) for src, w in zip(sources, weights)]
+        out = reference_backend().combine(neuron_type, responses)
+        out = out.reshape(x.shape[0], f,
+                          conv_output_size(x.shape[2], kh, stride[0], padding[0]),
+                          conv_output_size(x.shape[3], kw, stride[1], padding[1]))
+        if bias:
+            out += bias[0].reshape(1, f, 1, 1)
+        ctx.required, ctx.stride, ctx.padding, ctx.groups = required, stride, padding, groups
+        ctx.has_bias = bool(bias)
+        # Deliberately *not* saving the responses — that is the whole point.
+        ctx.save_for_backward(x, *weights)
         return out
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        x, wa, wb, wc = ctx.saved_tensors
-        stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
+        x, *weights = ctx.saved_tensors
+        required, stride, padding, groups = ctx.required, ctx.stride, ctx.padding, ctx.groups
+        needs = ctx.needs_input_grad
+        be = reference_backend()
+        _, _, kh, kw = weights[0].shape
+        wmats = [_wmat(w, groups) for w in weights]
         grad = np.ascontiguousarray(grad)
+        grad_g = grad.reshape(grad.shape[0], groups, wmats[0].shape[1], -1)
 
         # Recompute the first-order responses (symbolic differentiation step).
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        grad_a = grad * b
-        grad_b = grad * a
-        grad_c = grad
+        sources = _sources(grouped_cols(x, kh, kw, stride, padding, groups), required)
+        a, b = project(sources[0], wmats[0]), project(sources[1], wmats[1])
+        # ∂out/∂response: Wb X for Wa, Wa X for Wb, 1 for the third term.
+        response_grads = [grad_g * b, grad_g * a, grad_g][:len(required)]
 
-        gx = gwa = gwb = gwc = gbias = None
-        if ctx.needs_input_grad[0]:
-            gx = (
-                _conv_input_grad_raw(grad_a, wa, ctx.x_shape, stride, padding, groups)
-                + _conv_input_grad_raw(grad_b, wb, ctx.x_shape, stride, padding, groups)
-                + _conv_input_grad_raw(grad_c, wc, ctx.x_shape, stride, padding, groups)
-            )
-        if ctx.needs_input_grad[1]:
-            gwa = _conv_weight_grad_raw(x, grad_a, wa.shape, stride, padding, groups)
-        if ctx.needs_input_grad[2]:
-            gwb = _conv_weight_grad_raw(x, grad_b, wb.shape, stride, padding, groups)
-        if ctx.needs_input_grad[3]:
-            gwc = _conv_weight_grad_raw(x, grad_c, wc.shape, stride, padding, groups)
-        if ctx.has_bias and len(ctx.needs_input_grad) > 4 and ctx.needs_input_grad[4]:
-            gbias = grad.sum(axis=(0, 2, 3))
-        return gx, gwa, gwb, gwc, gbias, None, None, None
+        gx = None
+        if needs[0]:
+            parts = [be.conv_input_grad(wmat, g, x.shape, kh, kw, stride, padding)
+                     for wmat, g in zip(wmats, response_grads)]
+            if required[-1] == "sq":
+                # ∂(conv(x², Wsq))/∂x = 2x ∘ conv-input-grad — the chain rule
+                # of Eq. 7 applied to the squared-input path.
+                parts[-1] = 2.0 * x * parts[-1]
+            gx = parts[0] + parts[1]
+            if len(parts) > 2:
+                gx = gx + parts[2]
+        grads = [gx]
+        for source, w, g in zip(sources, weights, response_grads):
+            needed = needs[len(grads)]
+            grads.append(be.conv_weight_grad(g, source).reshape(w.shape) if needed else None)
+        if ctx.has_bias:
+            grads.append(grad.sum(axis=(0, 2, 3)) if needs[len(grads)] else None)
+        return tuple(grads)
 
 
-class HybridQuadraticConv2d(Module):
-    """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='OURS')``.
+def _sources(cols: np.ndarray, required) -> list:
+    """The lowered operand of each projection: the columns, squared for ``sq``."""
+    return [cols * cols if kind == "sq" else cols for kind in required]
 
-    Identical parameterisation and forward semantics; the backward pass uses
-    the symbolic single-node function above so no Hadamard-product operands
-    are cached between forward and backward.
-    """
+
+def _wmat(w: np.ndarray, groups: int) -> np.ndarray:
+    return w.reshape(groups, w.shape[0] // groups, -1)
+
+
+class _HybridConv2d(QuadraticConv2d):
+    """A ``QuadraticConv2d`` whose forward is one symbolic-backward node."""
+
+    hybrid_type: str
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
                  stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
                  bias: bool = True) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.groups = int(groups)
-        self.neuron_type = "OURS"
-        kh, kw = self.kernel_size
-        wshape = (out_channels, in_channels // groups, kh, kw)
-        self.weight_a = Parameter(init.kaiming_normal(wshape))
-        self.weight_b = Parameter(init.kaiming_normal(wshape))
-        self.weight_c = Parameter(init.kaiming_normal(wshape, gain=1.0))
-        self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
+        super().__init__(in_channels, out_channels, kernel_size, stride, padding, groups,
+                         neuron_type=self.hybrid_type, bias=bias)
 
     def forward(self, x: Tensor) -> Tensor:
-        args = [x, self.weight_a, self.weight_b, self.weight_c]
+        args = [x, *(getattr(self, f"weight_{kind}") for kind in self.required)]
         if self.bias is not None:
             args.append(self.bias)
         return HybridQuadraticConv2dFunction.apply(
-            *args, stride=self.stride, padding=self.padding, groups=self.groups
-        )
-
-    def extra_repr(self) -> str:
-        return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-                f"stride={self.stride}, padding={self.padding}, hybrid_bp=True")
+            *args, neuron_type=self.neuron_type, stride=self.stride, padding=self.padding,
+            groups=self.groups)
 
 
-# --------------------------------------------------------------------------- #
-# Symbolic-backward variants for the other published second-order designs
-# --------------------------------------------------------------------------- #
+class HybridQuadraticConv2d(_HybridConv2d):
+    """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='OURS')``."""
 
-class HybridQuadraticConv2dT4Function(Function):
-    """``out = conv(x, Wa) ∘ conv(x, Wb) + bias`` (Bu & Karpatne's T4) in one node."""
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                bias: Optional[np.ndarray] = None,
-                stride=(1, 1), padding=(0, 0), groups: int = 1) -> np.ndarray:
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        out = a * b
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        ctx.save_for_backward(x, wa, wb)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        x, wa, wb = ctx.saved_tensors
-        stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        grad = np.ascontiguousarray(grad)
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        grad_a = grad * b
-        grad_b = grad * a
-
-        gx = gwa = gwb = gbias = None
-        if ctx.needs_input_grad[0]:
-            gx = (_conv_input_grad_raw(grad_a, wa, ctx.x_shape, stride, padding, groups)
-                  + _conv_input_grad_raw(grad_b, wb, ctx.x_shape, stride, padding, groups))
-        if ctx.needs_input_grad[1]:
-            gwa = _conv_weight_grad_raw(x, grad_a, wa.shape, stride, padding, groups)
-        if ctx.needs_input_grad[2]:
-            gwb = _conv_weight_grad_raw(x, grad_b, wb.shape, stride, padding, groups)
-        if ctx.has_bias and len(ctx.needs_input_grad) > 3 and ctx.needs_input_grad[3]:
-            gbias = grad.sum(axis=(0, 2, 3))
-        return gx, gwa, gwb, gbias, None, None, None
+    hybrid_type = "OURS"
 
 
-class HybridQuadraticConv2dFanFunction(Function):
-    """``out = conv(x,Wa) ∘ conv(x,Wb) + conv(x², Wsq) + bias`` (Fan et al., T2&4).
-
-    The design of the paper's Fig. 5/Fig. 8 memory study; only ``x`` and the
-    weights are cached, both first-order responses and the squared input are
-    recomputed symbolically during backward.
-    """
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                wsq: np.ndarray, bias: Optional[np.ndarray] = None,
-                stride=(1, 1), padding=(0, 0), groups: int = 1) -> np.ndarray:
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        s = _conv_forward_raw(x * x, wsq, stride, padding, groups)
-        out = a * b + s
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        ctx.save_for_backward(x, wa, wb, wsq)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        x, wa, wb, wsq = ctx.saved_tensors
-        stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        grad = np.ascontiguousarray(grad)
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        grad_a = grad * b
-        grad_b = grad * a
-
-        gx = gwa = gwb = gwsq = gbias = None
-        if ctx.needs_input_grad[0]:
-            gx = (_conv_input_grad_raw(grad_a, wa, ctx.x_shape, stride, padding, groups)
-                  + _conv_input_grad_raw(grad_b, wb, ctx.x_shape, stride, padding, groups)
-                  # ∂(conv(x², Wsq))/∂x = 2x ∘ conv-input-grad — the chain rule of Eq. 7
-                  # applied to the squared-input path.
-                  + 2.0 * x * _conv_input_grad_raw(grad, wsq, ctx.x_shape, stride, padding,
-                                                   groups))
-        if ctx.needs_input_grad[1]:
-            gwa = _conv_weight_grad_raw(x, grad_a, wa.shape, stride, padding, groups)
-        if ctx.needs_input_grad[2]:
-            gwb = _conv_weight_grad_raw(x, grad_b, wb.shape, stride, padding, groups)
-        if ctx.needs_input_grad[3]:
-            gwsq = _conv_weight_grad_raw(x * x, grad, wsq.shape, stride, padding, groups)
-        if ctx.has_bias and len(ctx.needs_input_grad) > 4 and ctx.needs_input_grad[4]:
-            gbias = grad.sum(axis=(0, 2, 3))
-        return gx, gwa, gwb, gwsq, gbias, None, None, None
-
-
-class HybridQuadraticConv2dT4(Module):
+class HybridQuadraticConv2dT4(_HybridConv2d):
     """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='T4')``."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
-                 stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
-                 bias: bool = True) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.groups = int(groups)
-        self.neuron_type = "T4"
-        kh, kw = self.kernel_size
-        wshape = (out_channels, in_channels // groups, kh, kw)
-        self.weight_a = Parameter(init.kaiming_normal(wshape))
-        self.weight_b = Parameter(init.kaiming_normal(wshape))
-        self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        args = [x, self.weight_a, self.weight_b]
-        if self.bias is not None:
-            args.append(self.bias)
-        return HybridQuadraticConv2dT4Function.apply(
-            *args, stride=self.stride, padding=self.padding, groups=self.groups
-        )
-
-    def extra_repr(self) -> str:
-        return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-                f"type=T4, hybrid_bp=True")
+    hybrid_type = "T4"
 
 
-class HybridQuadraticConv2dFan(Module):
+class HybridQuadraticConv2dFan(_HybridConv2d):
     """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='T2_4')`` (Fan et al.)."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
-                 stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
-                 bias: bool = True) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.groups = int(groups)
-        self.neuron_type = "T2_4"
-        kh, kw = self.kernel_size
-        wshape = (out_channels, in_channels // groups, kh, kw)
-        self.weight_a = Parameter(init.kaiming_normal(wshape))
-        self.weight_b = Parameter(init.kaiming_normal(wshape))
-        self.weight_sq = Parameter(init.kaiming_normal(wshape))
-        self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        args = [x, self.weight_a, self.weight_b, self.weight_sq]
-        if self.bias is not None:
-            args.append(self.bias)
-        return HybridQuadraticConv2dFanFunction.apply(
-            *args, stride=self.stride, padding=self.padding, groups=self.groups
-        )
-
-    def extra_repr(self) -> str:
-        return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-                f"type=T2_4, hybrid_bp=True")
+    hybrid_type = "T2_4"
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ...autodiff.tensor import cat as _cat, einsum as _einsum
-from ...autodiff.ops.conv import conv_output_size, im2col
+from ...autodiff.ops.conv import _pair, conv_output_size
 from ...autodiff.tensor import Tensor
 from ...nn import functional as F
 from ...nn import init
@@ -23,12 +23,6 @@ from ...nn.parameter import Parameter
 from .base import QuadraticLayerBase
 
 IntOrPair = Union[int, Tuple[int, int]]
-
-
-def _pair(value: IntOrPair) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
 
 
 class QuadraticConv2d(QuadraticLayerBase):

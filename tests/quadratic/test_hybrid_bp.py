@@ -32,7 +32,7 @@ class TestHybridConvCorrectness:
     def test_forward_identical(self):
         composed, hybrid = self._pair()
         x = randn(2, 3, 8, 8)
-        assert np.allclose(composed(x).data, hybrid(x).data, atol=1e-5)
+        np.testing.assert_array_equal(composed(x).data, hybrid(x).data)
 
     def test_input_gradients_identical(self):
         composed, hybrid = self._pair()
@@ -40,7 +40,7 @@ class TestHybridConvCorrectness:
         x2 = Tensor(x1.data.copy(), requires_grad=True)
         composed(x1).sum().backward()
         hybrid(x2).sum().backward()
-        assert np.allclose(x1.grad, x2.grad, atol=1e-4)
+        np.testing.assert_array_equal(x1.grad, x2.grad)
 
     def test_weight_gradients_identical(self):
         composed, hybrid = self._pair()
@@ -48,8 +48,8 @@ class TestHybridConvCorrectness:
         composed(Tensor(x.data)).sum().backward()
         hybrid(Tensor(x.data)).sum().backward()
         for name in ("weight_a", "weight_b", "weight_c", "bias"):
-            assert np.allclose(getattr(composed, name).grad, getattr(hybrid, name).grad,
-                               atol=1e-4), name
+            np.testing.assert_array_equal(getattr(composed, name).grad,
+                                          getattr(hybrid, name).grad, err_msg=name)
 
     def test_non_unit_upstream_gradient(self):
         composed, hybrid = self._pair()
@@ -57,7 +57,7 @@ class TestHybridConvCorrectness:
         upstream = np.random.default_rng(0).normal(size=(1, 5, 6, 6)).astype(np.float32)
         composed(Tensor(x.data)).backward(upstream)
         hybrid(Tensor(x.data)).backward(upstream)
-        assert np.allclose(composed.weight_a.grad, hybrid.weight_a.grad, atol=1e-4)
+        np.testing.assert_array_equal(composed.weight_a.grad, hybrid.weight_a.grad)
 
     def test_strided_and_grouped(self):
         composed = QuadraticConv2d(4, 8, kernel_size=3, stride=2, padding=1, groups=2,
@@ -65,7 +65,7 @@ class TestHybridConvCorrectness:
         hybrid = HybridQuadraticConv2d(4, 8, kernel_size=3, stride=2, padding=1, groups=2)
         _copy_weights(composed, hybrid)
         x = randn(2, 4, 8, 8)
-        assert np.allclose(composed(x).data, hybrid(x).data, atol=1e-5)
+        np.testing.assert_array_equal(composed(x).data, hybrid(x).data)
 
     def test_numeric_weight_gradient(self, numgrad):
         hybrid = HybridQuadraticConv2d(2, 3, kernel_size=3, padding=1, bias=False)

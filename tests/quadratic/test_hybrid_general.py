@@ -2,7 +2,7 @@
 
 The paper's quadratic optimizer applies the same save-less/recompute scheme to
 every quadratic design; these tests verify the two additional published
-designs produce bit-compatible forward values and gradients with their
+designs produce bit-identical forward values and gradients with their
 composed-autodiff counterparts while caching fewer intermediates.
 """
 
@@ -48,8 +48,7 @@ class TestHybridGeneralEquivalence:
         hybrid, composed = make_pair(hybrid_cls, neuron_type)
         x = random_input()
         with no_grad():
-            np.testing.assert_allclose(hybrid(Tensor(x)).data, composed(Tensor(x)).data,
-                                       rtol=RTOL, atol=ATOL)
+            np.testing.assert_array_equal(hybrid(Tensor(x)).data, composed(Tensor(x)).data)
 
     def test_input_and_weight_gradients_identical(self, hybrid_cls, neuron_type):
         hybrid, composed = make_pair(hybrid_cls, neuron_type)
@@ -65,11 +64,16 @@ class TestHybridGeneralEquivalence:
 
         hybrid_x_grad, hybrid_grads = run(hybrid)
         composed_x_grad, composed_grads = run(composed)
-        np.testing.assert_allclose(hybrid_x_grad, composed_x_grad, rtol=RTOL, atol=ATOL)
+        if neuron_type == "T2_4":
+            # 2x·dX² joins the sum last here, but autograd accumulates it into
+            # x.grad in graph order: the bits differ by up to ~2e-6.
+            np.testing.assert_allclose(hybrid_x_grad, composed_x_grad, rtol=RTOL, atol=ATOL)
+        else:
+            np.testing.assert_array_equal(hybrid_x_grad, composed_x_grad)
         assert set(hybrid_grads) == set(composed_grads)
         for name in hybrid_grads:
-            np.testing.assert_allclose(hybrid_grads[name], composed_grads[name],
-                                       rtol=RTOL, atol=ATOL, err_msg=name)
+            np.testing.assert_array_equal(hybrid_grads[name], composed_grads[name],
+                                          err_msg=name)
 
     def test_no_bias_and_stride_variants(self, hybrid_cls, neuron_type):
         hybrid = hybrid_cls(4, 6, kernel_size=3, stride=2, padding=1, bias=False)
@@ -81,7 +85,7 @@ class TestHybridGeneralEquivalence:
             h = hybrid(Tensor(x))
             c = composed(Tensor(x))
         assert h.shape == c.shape == (2, 6, 5, 5)
-        np.testing.assert_allclose(h.data, c.data, rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(h.data, c.data)
 
     def test_caches_less_memory_than_composed(self, hybrid_cls, neuron_type):
         hybrid, composed = make_pair(hybrid_cls, neuron_type, in_channels=3, out_channels=8)
